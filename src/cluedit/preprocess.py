@@ -6,6 +6,16 @@ them sit in the input as isolated clique components.  The rules reject when
 those are missing (Rule 1) and otherwise peel guaranteed-safe components --
 an isolated vertex when 2k+1 of them exist (Rule 2), a largest isolated
 clique when 2k+1 nontrivial ones exist (Rule 3) -- until p' <= 6k.
+
+Applied one at a time, with Rule 3 before Rule 2, the rules need no
+re-scan of the graph: each deletion removes one clique component and lowers
+p by one, and no deletion makes a new clique component.  So the number of
+clique components minus p never changes and Rule 1 needs checking only
+once, on entry.  The deletions are then fixed by one component pass: the
+nontrivial cliques from largest to smallest, then the isolated vertices by
+id, each rule for as long as its 2k+1 threshold and p' > 6k allow.  One
+``induced_subgraph`` builds the kernel.  Apart from sorting the cliques by
+size this is O(n + m) row operations.
 """
 from __future__ import annotations
 
@@ -59,83 +69,46 @@ def clique_component_masks(g: Graph) -> list[int]:
     return out
 
 
-def rule1_rejects(g: Graph, p: int, k: int) -> bool:
-    """Reject iff fewer than p - 2k components of g are cliques."""
-    return len(clique_component_masks(g)) < p - 2 * k
-
-
-def rule2_target(g: Graph, k: int) -> int | None:
-    """Mask of the isolated vertex Rule 2 would delete, or None.
-
-    Fires when at least 2k+1 isolated vertices exist; deletes the one with
-    the smallest id.
-    """
-    isolated = [1 << v for v in range(g.n) if g.rows[v] == 0]
-    if len(isolated) >= 2 * k + 1:
-        return isolated[0]
-    return None
-
-
-def rule3_target(g: Graph, k: int) -> int | None:
-    """Mask of the clique component Rule 3 would delete, or None.
-
-    Fires when at least 2k+1 isolated nontrivial cliques exist; deletes a
-    largest one, ties broken towards the smallest contained vertex id.
-    """
-    cliques = [c for c in clique_component_masks(g) if c.bit_count() >= 2]
-    if len(cliques) < 2 * k + 1:
-        return None
-    best = cliques[0]
-    for c in cliques[1:]:
-        if c.bit_count() > best.bit_count():
-            best = c
-    return best
-
-
 def preprocess(inst: Instance) -> PreprocessOutcome:
-    """Apply Rules 1-3 while p' > 6k; equivalence-preserving for exact mode.
+    """Apply Rules 1-3 until p' <= 6k; equivalence-preserving for exact mode.
 
     In at-most mode nothing fires (the solver loops over exact p' itself).
     Also rejects when the reduced graph has fewer vertices than clusters
-    demanded.
+    demanded.  ``removed`` lists the deleted components in the order the
+    rules take them one at a time.
     """
     identity = tuple(range(inst.g.n))
     if inst.mode != "exact":
         return PreprocessOutcome(False, None, inst, identity)
 
     g, p, k = inst.g, inst.p, inst.k
-    vmap = list(identity)
+    full = keep = (1 << g.n) - 1
     removed: list[tuple[str, tuple[int, ...]]] = []
-    applied: list[str] = []
+    if p > 6 * k:
+        cliques = clique_component_masks(g)
+        if len(cliques) < p - 2 * k:
+            return PreprocessOutcome(True, "rule1", None, identity, [],
+                                     ["rule1"])
+        # largest first; the stable sort keeps ties in component order
+        nontrivial = sorted((c for c in cliques if c.bit_count() > 1),
+                            key=int.bit_count, reverse=True)
+        singletons = [c for c in cliques if c.bit_count() == 1]
+        for rule, pool in (("rule3", nontrivial), ("rule2", singletons)):
+            fire = min(max(0, len(pool) - 2 * k), p - 6 * k)
+            for c in pool[:fire]:
+                removed.append((rule, tuple(bits(c))))
+                keep ^= c
+            p -= fire
 
-    def delete(mask: int, rule: str) -> None:
-        nonlocal g, p, vmap
-        removed.append((rule, tuple(vmap[v] for v in bits(mask))))
-        applied.append(rule)
-        full = (1 << g.n) - 1
-        g, submap = induced_subgraph(g, full ^ mask)
-        vmap = [vmap[o] for o in submap]
-        p -= 1
-
-    while p > 6 * k:
-        if rule1_rejects(g, p, k):
-            return PreprocessOutcome(True, "rule1", None, tuple(vmap),
-                                     removed, applied + ["rule1"])
-        target = rule3_target(g, k)
-        if target is not None:
-            delete(target, "rule3")
-            continue
-        target = rule2_target(g, k)
-        if target is not None:
-            delete(target, "rule2")
-            continue
-        break  # unreachable when p > 6k and Rule 1 passed; stay safe
-
+    vmap = identity
+    if keep != full:
+        g, vmap = induced_subgraph(g, keep)
+    applied = [rule for rule, _ in removed]
     if p > g.n:
-        return PreprocessOutcome(True, "p_exceeds_n", None, tuple(vmap),
-                                 removed, applied)
-    reduced = Instance(g, p, k, "exact")
-    return PreprocessOutcome(False, None, reduced, tuple(vmap), removed, applied)
+        return PreprocessOutcome(True, "p_exceeds_n", None, vmap, removed,
+                                 applied)
+    return PreprocessOutcome(False, None, Instance(g, p, k, "exact"), vmap,
+                             removed, applied)
 
 
 def lift_clustering(outcome: PreprocessOutcome, cl: Clustering,

@@ -19,7 +19,7 @@ from .cuts import CutIndex, cut_count_bound, edges_inside_table, enumerate_k_cut
 from .graph import (Clustering, EditSet, Graph, apply_edits, bits,
                     clustering_to_edit_set, connected_components,
                     is_cluster_graph)
-from .preprocess import Instance, PreprocessOutcome, lift_clustering, lift_edits, preprocess
+from .preprocess import Instance, PreprocessOutcome, lift_clustering, preprocess
 
 _BIG = 1 << 31
 _TABLE_N = 20          # build the 2^n inside-edge table up to here

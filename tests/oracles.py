@@ -4,7 +4,9 @@ Everything here rebuilds answers from first principles -- exhaustive
 enumeration over raw edge lists, high-precision arithmetic, or an external
 MILP solver -- so package results are compared against a second route
 rather than against themselves.  Nothing in this module calls back into
-the package.
+the package, except ``preprocess_stepwise``: it replays the reduction rules
+one deletion at a time on the package's graph primitives, so the one-pass
+``preprocess`` is compared against the rules as stated.
 """
 from __future__ import annotations
 
@@ -15,6 +17,10 @@ import mpmath
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
+
+from cluedit.graph import Graph, bits, induced_subgraph
+from cluedit.preprocess import (Instance, PreprocessOutcome,
+                                clique_component_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +87,84 @@ def best_cost(n, edges, p, mode="exact"):
 
 
 # ---------------------------------------------------------------------------
+# preprocessing, one rule firing at a time
+
+def rule1_rejects(g: Graph, p: int, k: int) -> bool:
+    """Reject iff fewer than p - 2k components of g are cliques."""
+    return len(clique_component_masks(g)) < p - 2 * k
+
+
+def rule2_target(g: Graph, k: int) -> int | None:
+    """Mask of the isolated vertex Rule 2 would delete, or None.
+
+    Fires when at least 2k+1 isolated vertices exist; deletes the one with
+    the smallest id.
+    """
+    isolated = [1 << v for v in range(g.n) if g.rows[v] == 0]
+    if len(isolated) >= 2 * k + 1:
+        return isolated[0]
+    return None
+
+
+def rule3_target(g: Graph, k: int) -> int | None:
+    """Mask of the clique component Rule 3 would delete, or None.
+
+    Fires when at least 2k+1 isolated nontrivial cliques exist; deletes a
+    largest one, ties broken towards the smallest contained vertex id.
+    """
+    cliques = [c for c in clique_component_masks(g) if c.bit_count() >= 2]
+    if len(cliques) < 2 * k + 1:
+        return None
+    best = cliques[0]
+    for c in cliques[1:]:
+        if c.bit_count() > best.bit_count():
+            best = c
+    return best
+
+
+def preprocess_stepwise(inst: Instance) -> PreprocessOutcome:
+    """Rules 1-3 applied one firing at a time, re-scanning the graph after
+    each deletion: Rule 1 rejects, else Rule 3, else Rule 2, while p' > 6k."""
+    identity = tuple(range(inst.g.n))
+    if inst.mode != "exact":
+        return PreprocessOutcome(False, None, inst, identity)
+
+    g, p, k = inst.g, inst.p, inst.k
+    vmap = list(identity)
+    removed: list[tuple[str, tuple[int, ...]]] = []
+    applied: list[str] = []
+
+    def delete(mask: int, rule: str) -> None:
+        nonlocal g, p, vmap
+        removed.append((rule, tuple(vmap[v] for v in bits(mask))))
+        applied.append(rule)
+        full = (1 << g.n) - 1
+        g, submap = induced_subgraph(g, full ^ mask)
+        vmap = [vmap[o] for o in submap]
+        p -= 1
+
+    while p > 6 * k:
+        if rule1_rejects(g, p, k):
+            return PreprocessOutcome(True, "rule1", None, tuple(vmap),
+                                     removed, applied + ["rule1"])
+        target = rule3_target(g, k)
+        if target is not None:
+            delete(target, "rule3")
+            continue
+        target = rule2_target(g, k)
+        if target is not None:
+            delete(target, "rule2")
+            continue
+        break  # unreachable when p > 6k and Rule 1 passed; stay safe
+
+    if p > g.n:
+        return PreprocessOutcome(True, "p_exceeds_n", None, tuple(vmap),
+                                 removed, applied)
+    return PreprocessOutcome(False, None, Instance(g, p, k, "exact"),
+                             tuple(vmap), removed, applied)
+
+
+# ---------------------------------------------------------------------------
 # cuts
 
 def crossing_count(n, edges, mask: int) -> int:
@@ -133,9 +217,35 @@ def check_model(clauses, assignment) -> bool:
 
 
 def milp_sat(nvar, clauses) -> bool:
-    """Feasibility MILP for CNF satisfiability (handles hundreds of vars)."""
-    if not clauses:
-        return True
+    """Feasibility MILP for CNF satisfiability (handles hundreds of vars).
+
+    Clauses that share no variable are independent: the formula is
+    satisfiable iff every variable-disjoint block is, so each block gets a
+    MILP of its own (branch and bound on the whole would search the product
+    of the blocks' trees).
+    """
+    if any(not cl for cl in clauses):
+        return False
+    parent = list(range(nvar + 1))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for cl in clauses:
+        root = find(abs(cl[0]))
+        for l in cl[1:]:
+            parent[find(abs(l))] = root
+    blocks: dict[int, list] = {}
+    for cl in clauses:
+        blocks.setdefault(find(abs(cl[0])), []).append(cl)
+    return all(_milp_block_sat(block) for block in blocks.values())
+
+
+def _milp_block_sat(clauses) -> bool:
+    index: dict[int, int] = {}
     data, ri, ci, lo = [], [], [], []
     for r, cl in enumerate(clauses):
         neg = sum(l < 0 for l in cl)
@@ -143,7 +253,8 @@ def milp_sat(nvar, clauses) -> bool:
         for l in cl:
             data.append(1.0 if l > 0 else -1.0)
             ri.append(r)
-            ci.append(abs(l) - 1)
+            ci.append(index.setdefault(abs(l), len(index)))
+    nvar = len(index)
     a = sp.csr_array((data, (ri, ci)), shape=(len(clauses), nvar))
     res = milp(np.zeros(nvar),
                constraints=LinearConstraint(a, lo, np.inf),

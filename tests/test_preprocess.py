@@ -1,6 +1,7 @@
 """Reduction rules: rejection, safe deletions, and lift-back."""
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 
@@ -11,8 +12,12 @@ from cluedit import (Clustering, EditSet, Graph, Instance, is_cluster_graph,
                      apply_edits, oracle_best_cost, preprocess, lift_clustering,
                      lift_edits, solve_exact_p)
 from cluedit.graph import mask_of
-from cluedit.preprocess import (clique_component_masks, rule1_rejects,
-                                rule2_target, rule3_target)
+from cluedit.preprocess import clique_component_masks
+from oracles import (preprocess_stepwise, rule1_rejects, rule2_target,
+                     rule3_target)
+
+# the package re-exports a function named preprocess that hides the module
+preprocess_module = importlib.import_module("cluedit.preprocess")
 
 
 def disjoint_union(parts):
@@ -171,3 +176,63 @@ def test_pipeline_agrees_with_oracle_on_rule_heavy_instances():
                     list(g.edges()), p, k, opt)
                 if res.answer:
                     assert res.solution.cost == opt
+
+
+def random_clique_union(rng):
+    """Cliques of size 1-4, a random core of up to 6 vertices, ids shuffled."""
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(0, 30))]
+    n, edges = disjoint_union(sizes)
+    core = rng.randint(0, 6)
+    edges += [(n + u, n + v) for u, v in oracles.random_edges(rng, core, 0.5)]
+    n += core
+    perm = rng.sample(range(n), n)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_one_pass_matches_stepwise_rules():
+    rng = random.Random(2024)
+    fired = rejected = 0
+    for _ in range(60):
+        g = random_clique_union(rng)
+        for k in range(4):  # k = 0 runs the rules while p > 0
+            for p in range(g.n + 4):
+                inst = Instance(g, p, k, "exact")
+                got, want = preprocess(inst), preprocess_stepwise(inst)
+                assert got.rejected == want.rejected, (g, p, k)
+                assert got.reason == want.reason, (g, p, k)
+                assert got.instance == want.instance, (g, p, k)
+                assert got.vertex_map == want.vertex_map, (g, p, k)
+                assert got.removed == want.removed, (g, p, k)
+                assert got.rules_applied == want.rules_applied, (g, p, k)
+                fired += len(got.removed)
+                rejected += got.reason == "rule1"
+    # the inputs exercise both the deletions and the Rule 1 rejection
+    assert fired > 1000 and rejected > 100
+
+
+def test_one_component_pass_whatever_fires(monkeypatch):
+    calls = {"components": 0, "induced": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(preprocess_module, "connected_components",
+                        counted("components",
+                                preprocess_module.connected_components))
+    monkeypatch.setattr(preprocess_module, "induced_subgraph",
+                        counted("induced", preprocess_module.induced_subgraph))
+    n, edges = disjoint_union([3] * 300)
+    core = [(n + i, n + i + 1) for i in range(5)]  # a path: not a clique
+    g = Graph.from_edges(n + 6, edges + core)
+    k = 1
+    c3 = sum(c.bit_count() > 1 for c in clique_component_masks(g))
+    assert c3 == 300
+    for p in (8, 100, 302):
+        calls.update(components=0, induced=0)
+        out = preprocess(Instance(g, p, k, "exact"))
+        assert calls["components"] == 1 and calls["induced"] <= 1
+        assert out.rules_applied == ["rule3"] * min(c3 - 2 * k, p - 6 * k)
+        assert out.instance.p == 6 * k
