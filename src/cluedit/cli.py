@@ -1,8 +1,10 @@
 """Command-line front end: solve, oracle, cuts, reduce.
 
 Exit codes: 0 for YES (or generator success), 1 for a proven NO,
-2 for usage or input errors.  Reports go to stdout as JSON with a
-`schema` field; wall time goes to stderr so stdout stays deterministic.
+2 for usage or input errors and for internal failures (any other
+exception, such as a certificate that fails self-verification).  Reports
+go to stdout as JSON with a `schema` field; wall time goes to stderr so
+stdout stays deterministic.
 """
 from __future__ import annotations
 
@@ -243,6 +245,8 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
     except (ValueError, OSError, ZeroDivisionError) as exc:
         return _fail(str(exc))
+    except Exception as exc:  # a crash must not read as exit 1, "proven NO"
+        return _fail(f"internal error: {type(exc).__name__}: {exc}")
     finally:
         elapsed = time.perf_counter() - start
         print(f"wall_time_s={elapsed:.3f}", file=sys.stderr)

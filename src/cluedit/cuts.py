@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 import mpmath
+import numpy as np
 
 from .graph import Graph, bits
 
-# below this vertex count the pruning test is a min over a precomputed
-# completion table instead of a max-flow run; identical decisions, much
-# cheaper per node for dense branching trees
+# up to this vertex count the pruning test is a lookup in precomputed
+# completion tables (2^n entries per depth) instead of a max-flow run;
+# identical decisions, much cheaper per node for dense branching trees
 _TABLE_N = 16
 
 UNBOUNDED = math.inf
@@ -69,19 +70,38 @@ def min_cut_leq(g: Graph, a: int, b: int, k: int) -> bool:
     return False
 
 
-def edges_inside_table(g: Graph) -> list[int]:
+def edges_inside_table(g: Graph) -> np.ndarray:
     """e[S] = number of g-edges with both ends in mask S, for all S.
 
-    Size 2^n; callers guard n.
+    Size 2^n; callers guard n.  Built by doubling: for S below bit v,
+    e[S | v] = e[S] + |N(v) & S|.
     """
-    n = g.n
-    table = [0] * (1 << n)
-    rows = g.rows
-    for s in range(1, 1 << n):
-        low = s & -s
-        v = low.bit_length() - 1
-        table[s] = table[s ^ low] + (rows[v] & s).bit_count()
+    table = np.zeros(1 << g.n, dtype=np.int64)
+    for v, row in enumerate(g.rows):
+        half = 1 << v
+        low = np.arange(half, dtype=np.int64) & (row & (half - 1))
+        table[half:2 * half] = table[:half] + np.bitwise_count(low)
     return table
+
+
+def _completion_tables(g: Graph, k: int, order: list[int]) -> list[bytes]:
+    """ok[d][S] != 0 iff some k-cut agrees with side-1 S on order[:d].
+
+    ok[n] marks the k-cuts, whose crossing is m - e(S) - e(V - S); each
+    shallower level ORs the two choices for vertex order[d], so a branch
+    test is one lookup.  Entries for bits of order[d:] are ignored (each
+    level is constant along them).
+    """
+    inside = edges_inside_table(g)
+    ok = g.m - inside - inside[::-1] <= k
+    tables = [b""] * (g.n + 1)
+    tables[g.n] = ok.tobytes()
+    for d in range(g.n - 1, -1, -1):
+        pair = ok.reshape(-1, 2, 1 << order[d])
+        ok = np.broadcast_to(pair.any(axis=1, keepdims=True),
+                             pair.shape).reshape(-1)
+        tables[d] = ok.tobytes()
+    return tables
 
 
 @dataclass
@@ -111,9 +131,6 @@ class CutIndex:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def position(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.masks)}
-
 
 def enumerate_k_cuts(g: Graph, k: int, cap: float = UNBOUNDED) -> CutIndex | None:
     """Enumerate every ordered k-cut of g exactly once, or abort.
@@ -135,22 +152,11 @@ def enumerate_k_cuts(g: Graph, k: int, cap: float = UNBOUNDED) -> CutIndex | Non
     out_masks: list[int] = []
     out_cross: list[int] = []
 
-    use_table = n <= _TABLE_N
-    if use_table:
-        inside = edges_inside_table(g)
-        full = (1 << n) - 1
-        crossing_of = [g.m - inside[s] - inside[full ^ s] for s in range(1 << n)]
-        # subsets of the still-unassigned suffix, per depth
-        suffix_subsets: list[list[int]] = []
-        for d in range(n + 1):
-            sub = [0]
-            for v in order[d:]:
-                sub += [s | (1 << v) for s in sub]
-            suffix_subsets.append(sub)
+    tables = _completion_tables(g, k, order) if n <= _TABLE_N else None
 
     def feasible(side1: int, side2: int, depth: int) -> bool:
-        if use_table:
-            return min(crossing_of[side1 | s] for s in suffix_subsets[depth]) <= k
+        if tables is not None:
+            return bool(tables[depth][side1])
         return min_cut_leq(g, side1, side2, k)
 
     aborted = False

@@ -7,6 +7,23 @@ chain of p nested cuts from (empty, V) to (V, empty) spells out a
 clustering whose cost telescopes over the chain.  So the solver enumerates
 the k-cut space, caps it with the subexponential counting bound (abort
 means NO), and runs a shortest-chain DP with p layers.
+
+Arc costs.  Let B be the 0/1 cut-membership matrix (row i holds side-1
+S_i), A the adjacency matrix, D = B A and X = B D^T, so that
+X_ij = sum over u in S_i of |N(u) & S_j|.  For S_i a proper subset of S_j,
+with Delta = S_j - S_i, the arc S_i -> S_j deletes the edges between
+Delta and S_i and adds the missing pairs inside Delta:
+
+    cost_ij = e(S_i, Delta) + C(|Delta|, 2) - e(Delta)
+            = 2 X_ij - 1.5 X_ii - 0.5 X_jj + C(|S_j| - |S_i|, 2).
+
+Only arcs of cost <= k can lie on a chain within budget, and only a few
+percent of cut pairs are nested, so the DP keeps just those arcs and
+relaxes its p layers over that list.
+
+Tie-break.  Among the minimum-cost predecessors of a cut in a layer, the
+one with the smallest index in the cut list wins; cut indices follow
+`CutIndex` order (side-1 size, then discovery order).
 """
 from __future__ import annotations
 
@@ -15,6 +32,7 @@ from math import comb
 
 import numpy as np
 
+# edges_inside_table is not used here; bench/spans.py patches it by name
 from .cuts import CutIndex, cut_count_bound, edges_inside_table, enumerate_k_cuts
 from .graph import (Clustering, EditSet, Graph, apply_edits, bits,
                     clustering_to_edit_set, connected_components,
@@ -22,8 +40,9 @@ from .graph import (Clustering, EditSet, Graph, apply_edits, bits,
 from .preprocess import Instance, PreprocessOutcome, lift_clustering, preprocess
 
 _BIG = 1 << 31
-_TABLE_N = 20          # build the 2^n inside-edge table up to here
-_DENSE_CUT_LIMIT = 2048  # precompute the full cost matrix up to this many cuts
+# multiply-adds per block matmul; below 2^18 OpenBLAS keeps a call on one
+# thread, and more threads only spin on blocks this small
+_ARC_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -63,68 +82,103 @@ def arc_cost(g: Graph, v1: int, v1p: int) -> int:
     return cut + comb(d, 2) - inside // 2
 
 
+def _membership(masks, n: int) -> np.ndarray:
+    """len(masks) x n float64 0/1 matrix whose row i holds the bits of masks[i]."""
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n,
+                         bitorder="little").astype(np.float64)
+
+
+def _cheap_arcs(g: Graph, masks: list[int], k: int):
+    """Every arc i -> j with S_i a proper subset of S_j and cost <= k.
+
+    Returns integer arrays (src, dst, cost) sorted by dst, then src.  The
+    masks are sorted by size, so the targets of one size are scored
+    against all strictly smaller sources, a block of targets at a time, in
+    one float64 matmul val = L R^T with L_i = [B_i, r_i, 1, -s_i] and
+    R_j = [2 D_j + w (1 - B_j), 1, c_j, s_j], where s is the side-1 size,
+    r_i = (s_i^2 + s_i)/2 - 1.5 X_ii and c_j = (s_j^2 - s_j)/2 - 0.5 X_jj.
+    Then val_ij = cost_ij + w |S_i - S_j|: the penalty w = 4n^2 + 1 lifts
+    every non-nested pair above n^2, since its cost term is >= -2n^2, so
+    k must be at most n^2.  Every product is a multiple of 1/2 and their
+    absolute values sum to less than 5n^3, so every partial sum of the
+    matmul, and val, is exact in float64 for n up to 90000.
+    """
+    n = g.n
+    if n == 0:                                      # one cut, no arcs
+        return (np.zeros(0, dtype=np.int64),) * 3
+    b = _membership(masks, n)
+    d = b @ _membership(g.rows, n)
+    x_self = np.einsum("ij,ij->i", b, d)           # X_ii = 2 e(S_i)
+    size = b.sum(axis=1)
+    ones = np.ones(len(masks))
+    left = np.column_stack([b, (size * size + size) / 2 - 1.5 * x_self,
+                            ones, -size])
+    right = np.column_stack([2 * d + (4 * n * n + 1) * (1 - b), ones,
+                             (size * size - size) / 2 - 0.5 * x_self, size])
+    first = np.searchsorted(size, np.arange(n + 2))  # first cut of each size
+    src, dst, cost = [], [], []
+    for s in range(1, n + 1):
+        top, end = first[s], first[s + 1]          # sources are [0, top)
+        step = max(1, _ARC_BLOCK // (top * (n + 3)))
+        for lo in range(top, end, step):
+            val = right[lo:min(lo + step, end)] @ left[:top].T
+            cheap = val <= k
+            j, i = np.nonzero(cheap)
+            src.append(i)
+            dst.append(j + lo)
+            cost.append(val[cheap])
+    return (np.concatenate(src), np.concatenate(dst),
+            np.concatenate(cost).astype(np.int64))
+
+
 def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
               stats: SolveStats) -> list[int] | None:
-    """Layered relaxation with vectorized transitions; n <= _TABLE_N.
+    """Layered relaxation over the list of cheap arcs; any n.
 
     Returns the chain of side-1 masks of an optimal solution, or None.
+    Same layers, states and tie-break as `_dp_python`.
     """
     n = g.n
     ncuts = len(cuts)
-    masks = np.asarray(cuts.masks, dtype=np.int64)
-    table = np.asarray(edges_inside_table(g), dtype=np.int64)
-    e_cut = table[masks]
-    pos_empty = int(np.nonzero(masks == 0)[0][0])
-    pos_full = int(np.nonzero(masks == (1 << n) - 1)[0][0])
-
-    def cost_block(lo: int, hi: int) -> np.ndarray:
-        src = masks[lo:hi, None]
-        delta = masks[None, :] & ~src
-        dsz = np.bitwise_count(delta.astype(np.uint64)).astype(np.int64)
-        cost = (e_cut[None, :] - e_cut[lo:hi, None] - 2 * table[delta]
-                + dsz * (dsz - 1) // 2)
-        valid = ((src & ~masks[None, :]) == 0) & (src != masks[None, :])
-        return np.where(valid, cost, _BIG)
-
-    dense = ncuts <= _DENSE_CUT_LIMIT
-    full_cost = cost_block(0, ncuts) if dense else None
-    block = ncuts if dense else 1024
-
+    masks = cuts.masks
+    # a chain never costs more than C(n, 2), so a larger budget changes
+    # nothing; clamping keeps the keys below far from int64 overflow
+    k = min(k, n * n)
+    src, dst, cost = _cheap_arcs(g, masks, k)
+    first = np.ones(len(dst), dtype=bool)              # first arc per target
+    first[1:] = dst[1:] != dst[:-1]
+    heads = np.flatnonzero(first)
+    targets = dst[heads]
     best = np.full((p + 1, ncuts), _BIG, dtype=np.int64)
     pred = np.full((p + 1, ncuts), -1, dtype=np.int64)
-    best[0, pos_empty] = 0
+    best[0, masks.index(0)] = 0
     for layer in range(p):
-        cur = best[layer]
-        if not (cur <= k).any():
+        if not len(src) or best[layer].min() > k:
             break
-        nxt = best[layer + 1]
-        for lo in range(0, ncuts, block):
-            hi = min(lo + block, ncuts)
-            seg = cur[lo:hi]
-            if not (seg <= k).any():
-                continue
-            costs = full_cost[lo:hi] if dense else cost_block(lo, hi)
-            cand = np.where(seg[:, None] <= k, seg[:, None] + costs, _BIG)
-            cmin = cand.min(axis=0)
-            carg = cand.argmin(axis=0) + lo  # first index = first discovered
-            upd = cmin < nxt
-            nxt[upd] = cmin[upd]
-            pred[layer + 1, upd] = carg[upd]
-        nxt[nxt > k] = _BIG
-        pred[layer + 1, best[layer + 1] == _BIG] = -1
+        # smallest (cost, source) per target, as one int64 key
+        cand = np.minimum(best[layer][src] + cost, k + 1)
+        key = np.minimum.reduceat(cand * ncuts + src, heads)
+        hit = key < (k + 1) * ncuts
+        best[layer + 1, targets[hit]] = key[hit] // ncuts
+        pred[layer + 1, targets[hit]] = key[hit] % ncuts
     stats.dp_states = int((best <= k).sum())
+    pos_full = masks.index((1 << n) - 1)
     if best[p, pos_full] > k:
         return None
     chain = [pos_full]
     for layer in range(p, 0, -1):
         chain.append(int(pred[layer, chain[-1]]))
     chain.reverse()
-    return [int(masks[i]) for i in chain]
+    return [masks[i] for i in chain]
 
 
 def _dp_python(g: Graph, cuts: CutIndex, p: int, k: int,
                stats: SolveStats) -> list[int] | None:
-    """Reference relaxation on python ints; any n, same tie-breaks."""
+    """Reference relaxation on python ints over all nested pairs; tests
+    compare `_dp_numpy` against it."""
     ncuts = len(cuts)
     masks = cuts.masks
     arcs: list[list[tuple[int, int]]] = [[] for _ in range(ncuts)]
@@ -194,8 +248,7 @@ def solve_exact_p(inst: Instance, cap: float | None = None) -> SolveResult:
         return _no(stats)
     stats.cuts_enumerated = len(cuts)
 
-    dp = _dp_numpy if g.n <= _TABLE_N else _dp_python
-    chain = dp(g, cuts, p, k, stats)
+    chain = _dp_numpy(g, cuts, p, k, stats)
     if chain is None:
         return _no(stats)
     blocks = []

@@ -1,4 +1,5 @@
-"""End-to-end command-line tests run through a real subprocess."""
+"""End-to-end command-line tests run through a real subprocess (except the
+internal-error test, which patches the solver in process)."""
 from __future__ import annotations
 
 import json
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import run_cli
 
+from cluedit import cli, solver
 from cluedit.cnf import CnfFormula, format_dimacs
 from cluedit.graph import Graph, format_graph, read_graph
 
@@ -249,6 +251,25 @@ def test_malformed_graph_is_error(tmp_path):
     res = run_cli("solve", str(path), "--p", "2", "--k", "1")
     assert res.returncode == 2
     assert "edge before header" in res.stderr
+
+
+def _crash(inst, cap):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("target, attr, fake, message", [
+    (cli, "solve_exact_p", _crash, "RuntimeError: boom"),
+    # the certificate check in solver._finish fails
+    (solver, "verify_solution", lambda inst, sol: False, "AssertionError"),
+])
+def test_internal_error_exit_2(graph_file, monkeypatch, capsys,
+                               target, attr, fake, message):
+    # exit 1 means a proven NO, so a crash must exit 2 without a traceback
+    monkeypatch.setattr(target, attr, fake)
+    code = cli.main(["solve", graph_file(PATH3), "--p", "2", "--k", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal error: " + message)
 
 
 def test_usage_error_exit_2():

@@ -10,6 +10,7 @@ import oracles
 from cluedit import (Clustering, EditSet, Graph, Instance, Solution,
                      arc_cost, enumerate_k_cuts, solve_at_most_p,
                      solve_exact_p, verify_solution)
+from cluedit import solver
 from cluedit.graph import mask_of
 from cluedit.solver import SolveStats, _dp_numpy, _dp_python, result_to_dict
 
@@ -101,8 +102,8 @@ def test_cap_override_aborts():
 
 
 def test_python_dp_route_on_wide_graphs():
-    # 8 triangles leave 24 vertices when no rule fires (p = 6 <= 6k):
-    # this exercises the pure-python DP used beyond the numpy table width
+    # 8 triangles leave 24 vertices when no rule fires (p = 6 <= 6k), so
+    # the flow-based enumeration and the arc DP run at n = 24
     g = triangles(8)
     res = solve_exact_p(Instance(g, 6, 1, "exact"))
     assert not res.answer
@@ -110,17 +111,42 @@ def test_python_dp_route_on_wide_graphs():
     assert res2.answer and res2.solution.cost == 0
 
 
-def test_dp_backends_agree():
-    rng = random.Random(89)
+def _dp_cases(rng):
+    """(graph, k, cluster counts): dense random graphs, planted
+    clusterings for every n from 0 to 24, equal cliques (many cuts of one
+    size), and a chain of five 14-cliques (n = 70, past one 64-bit word)."""
     for _ in range(20):
         n = rng.randint(2, 7)
         g = Graph.from_edges(n, oracles.random_edges(rng, n, 0.5))
-        k = rng.randint(0, 4)
-        p = rng.randint(1, n)
+        yield g, rng.randint(0, 4), {1, rng.randint(1, n), n}
+    for n in range(25):
+        blocks = oracles.random_blocks(rng, n, max(1, n // 4)) if n else []
+        edges = oracles.perturb(rng, n, oracles.blocks_to_edges(blocks),
+                                min(n * (n - 1) // 2, 2))
+        p = len(blocks)
+        yield Graph.from_edges(n, edges), rng.randint(0, 3), {1, p, p + 1}
+    yield triangles(4), 3, {3, 4, 5}
+    cliques = [list(range(14 * i, 14 * i + 14)) for i in range(5)]
+    joins = [(14 * i + 13, 14 * i + 14) for i in range(4)]
+    yield (Graph.from_edges(70, oracles.blocks_to_edges(cliques) + joins), 4,
+           {4, 5, 6})
+
+
+def test_dp_backends_agree(monkeypatch):
+    # the arc DP must reproduce the reference chain (hence its tie-break)
+    # and state count, whatever the block size: one target per block, at
+    # least three, or the default
+    rng = random.Random(89)
+    for g, k, counts in _dp_cases(rng):
         cuts = enumerate_k_cuts(g, k)
-        a = _dp_numpy(g, cuts, p, k, SolveStats())
-        b = _dp_python(g, cuts, p, k, SolveStats())
-        assert a == b
+        for p in sorted(counts):
+            want_stats = SolveStats()
+            want = _dp_python(g, cuts, p, k, want_stats)
+            for block in (1, 3 * len(cuts) * (g.n + 3), solver._ARC_BLOCK):
+                monkeypatch.setattr(solver, "_ARC_BLOCK", block)
+                stats = SolveStats()
+                assert _dp_numpy(g, cuts, p, k, stats) == want
+                assert stats.dp_states == want_stats.dp_states
 
 
 def test_arc_cost_chain_telescopes_to_editing_cost():
