@@ -7,6 +7,20 @@ those are missing (Rule 1) and otherwise peel guaranteed-safe components --
 an isolated vertex when 2k+1 of them exist (Rule 2), a largest isolated
 clique when 2k+1 nontrivial ones exist (Rule 3) -- until p' <= 6k.
 
+At-most mode peels with the same Rules 2 and 3, thresholds and order, but
+has no Rule 1 and no ``p_exceeds_n`` reject: a clustering of n vertices has
+at most n clusters, so p' is clamped to n' instead.  The peel stays sound
+there.  Let S be a solution with at most p clusters and cost <= k that
+touches the peeled clique Q (some edit has an end in Q).  The k edits touch
+at most 2k components, so among the >= 2k+1 cliques of Q's pool some Q'
+with |Q'| <= |Q| is untouched, and Q' is a cluster of S.  Map Q' injectively
+into Q, give each vertex of Q' the cluster S gives its image, and make Q a
+cluster of its own.  Each edit of the new clustering maps to a distinct
+edit of S (Q and Q' are components, so a pair at Q' maps to the pair at its
+image), so the cost does not rise, and dropping the cluster Q leaves at
+most |S| - 1 clusters on the other vertices.  The count may drop by more
+than one, which is why exact mode needs Rule 1 and p' > 6k instead.
+
 Applied one at a time, with Rule 3 before Rule 2, the rules need no
 re-scan of the graph: each deletion removes one clique component and lowers
 p by one, and no deletion makes a new clique component.  So the number of
@@ -70,23 +84,20 @@ def clique_component_masks(g: Graph) -> list[int]:
 
 
 def preprocess(inst: Instance) -> PreprocessOutcome:
-    """Apply Rules 1-3 until p' <= 6k; equivalence-preserving for exact mode.
+    """Apply Rules 1-3 until p' <= 6k; equivalence-preserving in both modes.
 
-    In at-most mode nothing fires (the solver loops over exact p' itself).
-    Also rejects when the reduced graph has fewer vertices than clusters
-    demanded.  ``removed`` lists the deleted components in the order the
-    rules take them one at a time.
+    Exact mode also rejects when the reduced graph has fewer vertices than
+    clusters demanded; at-most mode has no Rule 1 and clamps p' to the
+    reduced vertex count.  ``removed`` lists the deleted components in the
+    order the rules take them one at a time.
     """
-    identity = tuple(range(inst.g.n))
-    if inst.mode != "exact":
-        return PreprocessOutcome(False, None, inst, identity)
-
-    g, p, k = inst.g, inst.p, inst.k
+    g, p, k, mode = inst.g, inst.p, inst.k, inst.mode
+    identity = tuple(range(g.n))
     full = keep = (1 << g.n) - 1
     removed: list[tuple[str, tuple[int, ...]]] = []
     if p > 6 * k:
         cliques = clique_component_masks(g)
-        if len(cliques) < p - 2 * k:
+        if mode == "exact" and len(cliques) < p - 2 * k:
             return PreprocessOutcome(True, "rule1", None, identity, [],
                                      ["rule1"])
         # largest first; the stable sort keeps ties in component order
@@ -105,9 +116,11 @@ def preprocess(inst: Instance) -> PreprocessOutcome:
         g, vmap = induced_subgraph(g, keep)
     applied = [rule for rule, _ in removed]
     if p > g.n:
-        return PreprocessOutcome(True, "p_exceeds_n", None, vmap, removed,
-                                 applied)
-    return PreprocessOutcome(False, None, Instance(g, p, k, "exact"), vmap,
+        if mode == "exact":
+            return PreprocessOutcome(True, "p_exceeds_n", None, vmap, removed,
+                                     applied)
+        p = g.n
+    return PreprocessOutcome(False, None, Instance(g, p, k, mode), vmap,
                              removed, applied)
 
 

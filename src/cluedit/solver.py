@@ -8,6 +8,14 @@ clustering whose cost telescopes over the chain.  So the solver enumerates
 the k-cut space, caps it with the subexponential counting bound (abort
 means NO), and runs a shortest-chain DP with p layers.
 
+At-most mode runs the same pipeline once.  Layer j of the DP at the full
+vertex set is the optimum for exactly j clusters, so the answer is the
+cheapest layer in 0..p, ties going to the fewest clusters.  One cap
+serves every layer: after preprocessing, a solution of the kernel has at
+most min(p, 6k) clusters (at most 2k of them touch an edit, the rest are
+clique components, and past 6k the rules leave at most 4k of those), and
+the counting bound is monotone in p.
+
 Arc costs.  Let B be the 0/1 cut-membership matrix (row i holds side-1
 S_i), A the adjacency matrix, D = B A and X = B D^T, so that
 X_ij = sum over u in S_i of |N(u) & S_j|.  For S_i a proper subset of S_j,
@@ -135,11 +143,13 @@ def _cheap_arcs(g: Graph, masks: list[int], k: int):
 
 
 def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
-              stats: SolveStats) -> list[int] | None:
+              stats: SolveStats, at_most: bool = False) -> list[int] | None:
     """Layered relaxation over the list of cheap arcs; any n.
 
-    Returns the chain of side-1 masks of an optimal solution, or None.
-    Same layers, states and tie-break as `_dp_python`.
+    Returns the chain of side-1 masks of an optimal solution with exactly p
+    clusters, or with the cheapest count in 0..p when *at_most* (ties go to
+    the fewest clusters), or None.  Same layers, states and tie-break as
+    `_dp_python`.
     """
     n = g.n
     ncuts = len(cuts)
@@ -166,10 +176,12 @@ def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
         pred[layer + 1, targets[hit]] = key[hit] % ncuts
     stats.dp_states = int((best <= k).sum())
     pos_full = masks.index((1 << n) - 1)
-    if best[p, pos_full] > k:
+    # argmin takes the first, so the fewest clusters among the cheapest
+    last = int(best[:, pos_full].argmin()) if at_most else p
+    if best[last, pos_full] > k:
         return None
     chain = [pos_full]
-    for layer in range(p, 0, -1):
+    for layer in range(last, 0, -1):
         chain.append(int(pred[layer, chain[-1]]))
     chain.reverse()
     return [masks[i] for i in chain]
@@ -226,6 +238,21 @@ def solve_exact_p(inst: Instance, cap: float | None = None) -> SolveResult:
     """
     if inst.mode != "exact":
         raise ValueError("solve_exact_p needs an exact-mode instance")
+    return _solve(inst, cap)
+
+
+def solve_at_most_p(inst: Instance, cap: float | None = None) -> SolveResult:
+    """Decide whether <= k edits reach a cluster graph with at most p cliques.
+
+    The same pipeline as `solve_exact_p`; its one DP reads the cheapest of
+    its layers 0..p instead of layer p.
+    """
+    if inst.mode != "at_most":
+        raise ValueError("solve_at_most_p needs an at-most mode instance")
+    return _solve(inst, cap)
+
+
+def _solve(inst: Instance, cap: float | None) -> SolveResult:
     stats = SolveStats()
     outcome = preprocess(inst)
     stats.rules_applied = list(outcome.rules_applied)
@@ -248,7 +275,7 @@ def solve_exact_p(inst: Instance, cap: float | None = None) -> SolveResult:
         return _no(stats)
     stats.cuts_enumerated = len(cuts)
 
-    chain = _dp_numpy(g, cuts, p, k, stats)
+    chain = _dp_numpy(g, cuts, p, k, stats, inst.mode == "at_most")
     if chain is None:
         return _no(stats)
     blocks = []
@@ -266,36 +293,6 @@ def _finish(inst: Instance, outcome: PreprocessOutcome, reduced_cl: Clustering,
     if not verify_solution(inst, sol):
         raise AssertionError("internal error: solver produced a bad solution")
     return SolveResult(True, sol, stats)
-
-
-def solve_at_most_p(inst: Instance, cap: float | None = None) -> SolveResult:
-    """Best solution over exact cluster counts 1..p (p=0 kept degenerate)."""
-    if inst.mode != "at_most":
-        raise ValueError("solve_at_most_p needs an at-most mode instance")
-    total = SolveStats()
-    if inst.p == 0:
-        if inst.g.n == 0:
-            sol = Solution(Clustering((), 0), EditSet(frozenset()), 0)
-            return SolveResult(True, sol, total)
-        return _no(total)
-    best: SolveResult | None = None
-    for p_exact in range(1, inst.p + 1):
-        res = solve_exact_p(Instance(inst.g, p_exact, inst.k, "exact"), cap)
-        total.cuts_enumerated += res.stats.cuts_enumerated
-        total.dp_states += res.stats.dp_states
-        total.aborted = total.aborted or res.stats.aborted
-        if res.answer:
-            assert res.solution is not None
-            if best is None or res.solution.cost < best.solution.cost:
-                best = res
-                total.rules_applied = res.stats.rules_applied
-            if best.solution.cost == 0:
-                break
-    if best is None:
-        return _no(total)
-    stats = SolveStats(total.cuts_enumerated, total.dp_states,
-                       total.rules_applied, total.aborted)
-    return SolveResult(True, best.solution, stats)
 
 
 def verify_solution(inst: Instance, sol: Solution) -> bool:

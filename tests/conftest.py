@@ -5,7 +5,8 @@ lines here and printing them from ``pytest_terminal_summary`` keeps them
 visible regardless of output capturing.
 
 ``run_cli`` starts ``python -m cluedit.cli`` in a subprocess that imports the
-same ``cluedit`` package as the test process, whatever its working directory.
+same ``cluedit`` package as the test process, whatever its working directory;
+``package_env`` gives other subprocesses (the demos) the same environment.
 """
 from __future__ import annotations
 
@@ -46,8 +47,8 @@ def criterion(num: int, name: str, note: str = ""):
     return deco
 
 
-def run_cli(*argv: str, cwd=None) -> subprocess.CompletedProcess:
-    """Run ``python -m cluedit.cli *argv`` and capture its text output.
+def package_env() -> dict[str, str]:
+    """The environment for a subprocess that imports ``cluedit``.
 
     The directory that holds the imported ``cluedit`` package goes first on
     the subprocess ``PYTHONPATH`` as an absolute path, so a relative entry
@@ -55,14 +56,19 @@ def run_cli(*argv: str, cwd=None) -> subprocess.CompletedProcess:
     in another directory finds the package. Existing entries are kept after
     it.
     """
-    import cluedit  # here, so a missing package fails only the CLI tests
+    import cluedit  # here, so a missing package fails only these tests
 
     root = str(Path(cluedit.__file__).resolve().parent.parent)
     rest = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([root, rest] if rest else [root])}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([root, rest] if rest else [root])}
+
+
+def run_cli(*argv: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``python -m cluedit.cli *argv`` and capture its text output."""
     return subprocess.run([sys.executable, "-m", "cluedit.cli", *argv],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=package_env())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

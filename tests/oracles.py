@@ -4,9 +4,11 @@ Everything here rebuilds answers from first principles -- exhaustive
 enumeration over raw edge lists, high-precision arithmetic, or an external
 MILP solver -- so package results are compared against a second route
 rather than against themselves.  Nothing in this module calls back into
-the package, except ``preprocess_stepwise``: it replays the reduction rules
-one deletion at a time on the package's graph primitives, so the one-pass
-``preprocess`` is compared against the rules as stated.
+the package, except two replays of a package routine by a second route:
+``preprocess_stepwise`` applies the reduction rules one deletion at a time
+on the package's graph primitives, so the one-pass ``preprocess`` is
+compared against the rules as stated, and ``at_most_by_exact_loop`` answers
+at-most mode with one exact-mode solve per cluster count.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from cluedit.graph import Graph, bits, induced_subgraph
 from cluedit.preprocess import (Instance, PreprocessOutcome,
                                 clique_component_masks)
+from cluedit.solver import SolveResult, SolveStats, solve_exact_p
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +127,13 @@ def rule3_target(g: Graph, k: int) -> int | None:
 
 def preprocess_stepwise(inst: Instance) -> PreprocessOutcome:
     """Rules 1-3 applied one firing at a time, re-scanning the graph after
-    each deletion: Rule 1 rejects, else Rule 3, else Rule 2, while p' > 6k."""
-    identity = tuple(range(inst.g.n))
-    if inst.mode != "exact":
-        return PreprocessOutcome(False, None, inst, identity)
+    each deletion: Rule 1 rejects, else Rule 3, else Rule 2, while p' > 6k.
 
-    g, p, k = inst.g, inst.p, inst.k
-    vmap = list(identity)
+    At-most mode skips Rule 1 and clamps the final p' to the kernel's
+    vertex count instead of rejecting.
+    """
+    g, p, k, mode = inst.g, inst.p, inst.k, inst.mode
+    vmap = list(range(g.n))
     removed: list[tuple[str, tuple[int, ...]]] = []
     applied: list[str] = []
 
@@ -144,7 +147,7 @@ def preprocess_stepwise(inst: Instance) -> PreprocessOutcome:
         p -= 1
 
     while p > 6 * k:
-        if rule1_rejects(g, p, k):
+        if mode == "exact" and rule1_rejects(g, p, k):
             return PreprocessOutcome(True, "rule1", None, tuple(vmap),
                                      removed, applied + ["rule1"])
         target = rule3_target(g, k)
@@ -155,13 +158,43 @@ def preprocess_stepwise(inst: Instance) -> PreprocessOutcome:
         if target is not None:
             delete(target, "rule2")
             continue
-        break  # unreachable when p > 6k and Rule 1 passed; stay safe
+        break  # in exact mode unreachable once Rule 1 passed
 
     if p > g.n:
-        return PreprocessOutcome(True, "p_exceeds_n", None, tuple(vmap),
-                                 removed, applied)
-    return PreprocessOutcome(False, None, Instance(g, p, k, "exact"),
+        if mode == "exact":
+            return PreprocessOutcome(True, "p_exceeds_n", None, tuple(vmap),
+                                     removed, applied)
+        p = g.n
+    return PreprocessOutcome(False, None, Instance(g, p, k, mode),
                              tuple(vmap), removed, applied)
+
+
+# ---------------------------------------------------------------------------
+# at-most mode, one exact-mode solve per cluster count
+
+def at_most_by_exact_loop(inst: Instance, cap=None) -> SolveResult:
+    """Cheapest solution over exact cluster counts 1..p, fewest clusters
+    among the cheapest; stats summed over the solves.  Zero clusters fit
+    only the empty graph."""
+    assert inst.mode == "at_most"
+    total = SolveStats()
+    if inst.g.n == 0:
+        return solve_exact_p(Instance(inst.g, 0, inst.k, "exact"), cap)
+    best = None
+    for p_exact in range(1, inst.p + 1):
+        res = solve_exact_p(Instance(inst.g, p_exact, inst.k, "exact"), cap)
+        total.cuts_enumerated += res.stats.cuts_enumerated
+        total.dp_states += res.stats.dp_states
+        total.aborted = total.aborted or res.stats.aborted
+        if res.answer and (best is None
+                           or res.solution.cost < best.solution.cost):
+            best = res
+            total.rules_applied = res.stats.rules_applied
+            if best.solution.cost == 0:
+                break
+    if best is None:
+        return SolveResult(False, None, total)
+    return SolveResult(True, best.solution, total)
 
 
 # ---------------------------------------------------------------------------

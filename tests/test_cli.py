@@ -82,6 +82,16 @@ def test_solve_at_most_mode(graph_file):
     assert json.loads(res.stdout)["cost"] == 0
 
 
+def test_solve_at_most_on_the_empty_graph(graph_file):
+    # zero clusters is at most p and costs nothing
+    res = run_cli("solve", graph_file(Graph.empty(0)), "--p", "2", "--k", "0",
+                  "--mode", "at-most")
+    assert res.returncode == 0
+    out = json.loads(res.stdout)
+    assert out["answer"] == "yes" and out["cost"] == 0
+    assert out["clusters"] == []
+
+
 def test_solve_cap_abort(graph_file):
     res = run_cli("solve", graph_file(PATH3), "--p", "2", "--k", "1",
                   "--cap", "1")

@@ -113,11 +113,21 @@ def test_k_zero_dissolves_or_rejects():
     assert out2.instance.p == 0 and out2.instance.g.n == 3
 
 
-def test_at_most_mode_is_untouched():
-    inst = Instance(triangles(20), 20, 1, "at_most")
-    out = preprocess(inst)
-    assert not out.rejected and out.instance is inst
-    assert out.rules_applied == [] and out.vertex_map == tuple(range(60))
+def test_at_most_mode_peels_without_rule1():
+    # the same Rule 3 peel as exact mode: 14 triangles, largest and then
+    # lowest ids first, leave p' = 6k
+    out = preprocess(Instance(triangles(20), 20, 1, "at_most"))
+    assert not out.rejected
+    assert out.rules_applied == ["rule3"] * 14
+    assert out.removed == [("rule3", (3 * t, 3 * t + 1, 3 * t + 2))
+                           for t in range(14)]
+    assert out.instance == Instance(triangles(6), 6, 1, "at_most")
+    assert out.vertex_map == tuple(range(42, 60))
+    # no Rule 1 (no clique component at all) and no p_exceeds_n: p' <= n
+    path7 = Graph.from_edges(7, [(i, i + 1) for i in range(6)])
+    out = preprocess(Instance(path7, 9, 1, "at_most"))
+    assert not out.rejected and out.rules_applied == []
+    assert out.instance == Instance(path7, 7, 1, "at_most")
 
 
 def test_no_rule_fires_below_threshold():
@@ -191,23 +201,27 @@ def random_clique_union(rng):
 
 def test_one_pass_matches_stepwise_rules():
     rng = random.Random(2024)
-    fired = rejected = 0
+    fired = {"exact": 0, "at_most": 0}
+    rejected = clamped = 0
     for _ in range(60):
         g = random_clique_union(rng)
-        for k in range(4):  # k = 0 runs the rules while p > 0
-            for p in range(g.n + 4):
-                inst = Instance(g, p, k, "exact")
-                got, want = preprocess(inst), preprocess_stepwise(inst)
-                assert got.rejected == want.rejected, (g, p, k)
-                assert got.reason == want.reason, (g, p, k)
-                assert got.instance == want.instance, (g, p, k)
-                assert got.vertex_map == want.vertex_map, (g, p, k)
-                assert got.removed == want.removed, (g, p, k)
-                assert got.rules_applied == want.rules_applied, (g, p, k)
-                fired += len(got.removed)
-                rejected += got.reason == "rule1"
-    # the inputs exercise both the deletions and the Rule 1 rejection
-    assert fired > 1000 and rejected > 100
+        for k, p, mode in itertools.product(  # k = 0 peels while p > 0
+                range(4), range(g.n + 4), ("exact", "at_most")):
+            inst = Instance(g, p, k, mode)
+            got, want = preprocess(inst), preprocess_stepwise(inst)
+            assert got.rejected == want.rejected, (g, p, k, mode)
+            assert got.reason == want.reason, (g, p, k, mode)
+            assert got.instance == want.instance, (g, p, k, mode)
+            assert got.vertex_map == want.vertex_map, (g, p, k, mode)
+            assert got.removed == want.removed, (g, p, k, mode)
+            assert got.rules_applied == want.rules_applied, (g, p, k, mode)
+            fired[mode] += len(got.removed)
+            rejected += got.reason == "rule1"
+            clamped += (mode == "at_most"
+                        and got.instance.p < p - len(got.removed))
+    # the inputs exercise the deletions in both modes, the Rule 1
+    # rejection and the at-most clamp to n
+    assert min(fired.values()) > 1000 and rejected > 100 and clamped > 100
 
 
 def test_one_component_pass_whatever_fires(monkeypatch):

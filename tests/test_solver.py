@@ -85,6 +85,69 @@ def test_at_most_agreement_with_reference():
                     assert verify_solution(inst, res.solution)
 
 
+def clique_union_with_core(rng):
+    """0-5 cliques of size 1-3 plus a random core of up to 4 vertices, n <= 8."""
+    while True:
+        blocks, n = [], 0
+        for _ in range(rng.randint(0, 5)):
+            size = rng.randint(1, 3)
+            blocks.append(list(range(n, n + size)))
+            n += size
+        core = rng.randint(0, 4)
+        edges = oracles.blocks_to_edges(blocks) + [
+            (n + u, n + v) for u, v in oracles.random_edges(rng, core, 0.5)]
+        if n + core <= 8:
+            return n + core, edges
+
+
+def test_at_most_one_pass_matches_exact_loop(monkeypatch):
+    calls = []
+    enumerate_once = solver.enumerate_k_cuts
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_once(*args)
+
+    rng = random.Random(101)
+    solves = peeled = 0
+    for _ in range(120):
+        n, edges = clique_union_with_core(rng)
+        g = Graph.from_edges(n, edges)
+        by = oracles.best_by_count(n, edges)
+        for k, p in itertools.product(range(3), range(1, n + 2)):
+            inst = Instance(g, p, k, "at_most")
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(solver, "enumerate_k_cuts", counted)
+                res = solve_at_most_p(inst)
+            assert len(calls) <= 1
+            loop = oracles.at_most_by_exact_loop(inst)
+            costs = [c for c in by[:p + 1] if c is not None]
+            opt = min(costs) if costs else None
+            want = opt is not None and opt <= k
+            assert res.answer == loop.answer == want, (n, edges, p, k)
+            if res.answer:
+                assert res.solution.cost == loop.solution.cost == opt
+                # the fewest clusters among the cheapest, as the loop finds
+                assert (res.solution.clustering.c
+                        == loop.solution.clustering.c)
+                assert verify_solution(inst, res.solution)
+            solves += 1
+            peeled += p > 6 * k and bool(res.stats.rules_applied)
+    # the rules peel in at-most mode, which the cap needs once p > 6k
+    assert solves > 1500 and peeled > 400
+
+
+def test_at_most_on_the_empty_graph():
+    # zero clusters is at most p, at cost 0
+    for p, k in ((1, 0), (2, 0), (3, 2)):
+        inst = Instance(Graph.empty(0), p, k, "at_most")
+        res = solve_at_most_p(inst)
+        assert res.answer and res.solution.cost == 0
+        assert res.solution.clustering.c == 0
+        assert verify_solution(inst, res.solution)
+
+
 def test_mode_mismatch_raises():
     inst = Instance(path(3), 2, 1, "exact")
     with pytest.raises(ValueError, match="at-most|at_most"):
