@@ -1,9 +1,12 @@
-"""Ordered small cuts: feasibility, enumeration with pruning, counting bounds.
+"""Ordered small cuts: enumeration, its feasibility test, counting bounds.
 
 A k-cut of G is an ordered bipartition (V1, V2) of the vertex set with at
-most k crossing edges; V1 and V2 may be empty.  Enumeration branches vertex
-by vertex and prunes a branch as soon as no completion can stay within k,
-so every surviving branch emits at least one cut (polynomial delay).
+most k crossing edges; V1 and V2 may be empty.  Small graphs need no
+search: the k-cuts are exactly the masks S with m - e(S) - e(V - S) <= k,
+read off one 2^n table of inside-edge counts.  Larger graphs branch vertex
+by vertex on an explicit stack and prune a branch as soon as a max-flow
+test shows that no completion stays within k, so every surviving branch
+emits at least one cut (polynomial delay).
 """
 from __future__ import annotations
 
@@ -17,10 +20,10 @@ import numpy as np
 
 from .graph import Graph, bits
 
-# up to this vertex count the pruning test is a lookup in precomputed
-# completion tables (2^n entries per depth) instead of a max-flow run;
-# identical decisions, much cheaper per node for dense branching trees
-_TABLE_N = 16
+# up to this vertex count enumeration filters all 2^n masks instead of
+# branching with max-flow tests: far cheaper per kernel while 2^n is small,
+# and past it the table's time and memory outgrow the flow search
+_FILTER_N = 16
 
 UNBOUNDED = math.inf
 
@@ -84,32 +87,16 @@ def edges_inside_table(g: Graph) -> np.ndarray:
     return table
 
 
-def _completion_tables(g: Graph, k: int, order: list[int]) -> list[bytes]:
-    """ok[d][S] != 0 iff some k-cut agrees with side-1 S on order[:d].
-
-    ok[n] marks the k-cuts, whose crossing is m - e(S) - e(V - S); each
-    shallower level ORs the two choices for vertex order[d], so a branch
-    test is one lookup.  Entries for bits of order[d:] are ignored (each
-    level is constant along them).
-    """
-    inside = edges_inside_table(g)
-    ok = g.m - inside - inside[::-1] <= k
-    tables = [b""] * (g.n + 1)
-    tables[g.n] = ok.tobytes()
-    for d in range(g.n - 1, -1, -1):
-        pair = ok.reshape(-1, 2, 1 << order[d])
-        ok = np.broadcast_to(pair.any(axis=1, keepdims=True),
-                             pair.shape).reshape(-1)
-        tables[d] = ok.tobytes()
-    return tables
-
-
 @dataclass
 class EnumStats:
+    """Work counters.  A dead end is a kept branch whose two children are
+    both pruned; exact pruning leaves none, which by induction on depth
+    means every kept subtree emits a cut (polynomial delay)."""
+
     explored: int = 0
     pruned: int = 0
     emitted: int = 0
-    zero_emit_subtrees: int = 0
+    dead_ends: int = 0
 
 
 @dataclass
@@ -117,9 +104,9 @@ class CutIndex:
     """All k-cuts of a graph, in a deterministic order.
 
     ``masks[i]`` is side-1 of the i-th cut as a vertex mask and
-    ``crossing[i]`` its crossing count.  The list is sorted by side-1 size
-    (stable over discovery order), which is the order the solver's
-    reconstruction tie-break refers to.
+    ``crossing[i]`` its crossing count.  The list is sorted by side-1 size,
+    ties in branching order (see ``enumerate_k_cuts``), which is the order
+    the solver's reconstruction tie-break refers to.
     """
 
     n: int
@@ -135,11 +122,13 @@ class CutIndex:
 def enumerate_k_cuts(g: Graph, k: int, cap: float = UNBOUNDED) -> CutIndex | None:
     """Enumerate every ordered k-cut of g exactly once, or abort.
 
-    Aborts (returns None) as soon as more than *cap* cuts have been
-    emitted.  Vertices are branched in descending-degree order (ties by
-    id); each side-1/side-2 decision is checked with the min-cut
-    feasibility test, so a branch is kept alive only if some completion is
-    a k-cut.
+    Returns None when there are more than *cap* cuts.  The order is that
+    of a branching over the vertices in descending-degree order (ties by
+    id), side 1 before side 2 at each vertex, stably sorted by side-1
+    size.  Up to ``_FILTER_N`` vertices nothing branches: every mask is
+    scored against ``m - e(S) - e(V - S) <= k`` and the survivors are
+    sorted into that order.  Beyond, the branching runs on an explicit stack
+    and keeps a child only if ``min_cut_leq`` finds a completion within k.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -147,63 +136,56 @@ def enumerate_k_cuts(g: Graph, k: int, cap: float = UNBOUNDED) -> CutIndex | Non
         raise ValueError("cap must be >= 1")
     n = g.n
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    rows = g.rows
     stats = EnumStats()
+    if n <= _FILTER_N:
+        inside = edges_inside_table(g)
+        crossing = g.m - inside - inside[::-1]
+        masks = np.flatnonzero(crossing <= k)
+        if masks.size > cap:
+            return None
+        # bit n-1-d is set when order[d] is on side 2, so side 1 sorts first
+        branch_key = np.zeros_like(masks)
+        for d, v in enumerate(order):
+            branch_key |= (~masks >> v & 1) << (n - 1 - d)
+        masks = masks[np.lexsort((branch_key, np.bitwise_count(masks)))]
+        stats.explored = 1 << n
+        stats.emitted = masks.size
+        stats.pruned = stats.explored - stats.emitted
+        return CutIndex(n=n, k=k, masks=masks.tolist(),
+                        crossing=crossing[masks].tolist(), stats=stats)
+
+    rows = g.rows
     out_masks: list[int] = []
     out_cross: list[int] = []
-
-    tables = _completion_tables(g, k, order) if n <= _TABLE_N else None
-
-    def feasible(side1: int, side2: int, depth: int) -> bool:
-        if tables is not None:
-            return bool(tables[depth][side1])
-        return min_cut_leq(g, side1, side2, k)
-
-    aborted = False
-
-    def rec(depth: int, side1: int, side2: int, crossing: int) -> int:
-        nonlocal aborted
-        if aborted:
-            return 0
+    stack = [(0, 0, 0, 0)]  # depth, side 1, side 2, crossing so far
+    while stack:
+        depth, side1, side2, crossing = stack.pop()
         if depth == n:
             out_masks.append(side1)
             out_cross.append(crossing)
-            stats.emitted += 1
-            if stats.emitted > cap:
-                aborted = True
-            return 1
+            if len(out_masks) > cap:
+                return None
+            continue
         v = order[depth]
-        emitted = 0
-        for to_side1 in (True, False):
-            if to_side1:
-                extra = (rows[v] & side2).bit_count()
-                s1, s2 = side1 | (1 << v), side2
-            else:
-                extra = (rows[v] & side1).bit_count()
-                s1, s2 = side1, side2 | (1 << v)
+        bit = 1 << v
+        kept = []
+        for s1, s2, extra in ((side1 | bit, side2, (rows[v] & side2).bit_count()),
+                              (side1, side2 | bit, (rows[v] & side1).bit_count())):
             stats.explored += 1
-            if crossing + extra > k or not feasible(s1, s2, depth + 1):
+            if crossing + extra > k or not min_cut_leq(g, s1, s2, k):
                 stats.pruned += 1
-                continue
-            got = rec(depth + 1, s1, s2, crossing + extra)
-            if got == 0 and not aborted:
-                stats.zero_emit_subtrees += 1
-            emitted += got
-            if aborted:
-                break
-        return emitted
-
-    if feasible(0, 0, 0):
-        rec(0, 0, 0, 0)
-    if aborted:
-        return None
+            else:
+                kept.append((depth + 1, s1, s2, crossing + extra))
+        if not kept:
+            stats.dead_ends += 1
+        stack.extend(reversed(kept))  # side-1 child on top: it is emitted first
+    stats.emitted = len(out_masks)
     pairs = sorted(range(len(out_masks)),
                    key=lambda i: out_masks[i].bit_count())
-    index = CutIndex(n=n, k=k,
-                     masks=[out_masks[i] for i in pairs],
-                     crossing=[out_cross[i] for i in pairs],
-                     stats=stats)
-    return index
+    return CutIndex(n=n, k=k,
+                    masks=[out_masks[i] for i in pairs],
+                    crossing=[out_cross[i] for i in pairs],
+                    stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+# each header vertex costs a row before any edge is read, so a larger header
+# is rejected as bad input rather than left to exhaust memory
+MAX_PARSE_VERTICES = 10**7
+
 
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of *mask* in ascending order."""
@@ -301,6 +305,9 @@ def parse_graph(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: malformed header {line!r}") from None
             if n < 0 or m < 0:
                 raise ValueError(f"line {lineno}: negative counts")
+            if n > MAX_PARSE_VERTICES:
+                raise ValueError(f"line {lineno}: {n} vertices exceed the "
+                                 f"limit of {MAX_PARSE_VERTICES}")
             rows = [0] * n
         elif fields[0] == "e":
             if n is None:

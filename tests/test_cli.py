@@ -147,6 +147,15 @@ def test_cuts_count_only_unbounded(graph_file):
     assert out["within_bound"] is True
 
 
+def test_cuts_on_a_long_path(graph_file):
+    # 1500 vertices branch deeper than Python's recursion limit
+    n = 1500
+    path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    res = run_cli("cuts", graph_file(path), "--k", "0", "--count-only")
+    assert res.returncode == 0
+    assert json.loads(res.stdout) == {"schema": 1, "count": 2}
+
+
 def test_cuts_cap_abort(graph_file):
     res = run_cli("cuts", graph_file(TRIANGLE), "--k", "2", "--cap", "1")
     assert res.returncode == 1
@@ -261,6 +270,17 @@ def test_malformed_graph_is_error(tmp_path):
     res = run_cli("solve", str(path), "--p", "2", "--k", "1")
     assert res.returncode == 2
     assert "edge before header" in res.stderr
+
+
+def test_absurd_vertex_count_is_input_error(tmp_path):
+    # the header alone would need hundreds of gigabytes of rows: bad input,
+    # not an internal error
+    path = tmp_path / "huge.g"
+    path.write_text("p cep 99999999999 0\n")
+    res = run_cli("solve", str(path), "--p", "2", "--k", "1")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: line 1: 99999999999 vertices "
+                                 "exceed the limit of 10000000")
 
 
 def _crash(inst, cap):

@@ -46,8 +46,8 @@ def test_enumeration_matches_brute_filter_seeded():
 
 
 def test_flow_route_agrees_beyond_the_table_threshold():
-    # n = 17 graphs use the augmenting-path feasibility test instead of the
-    # subset table; both must produce the same cut sets
+    # n = 17 graphs branch with the augmenting-path feasibility test
+    # instead of filtering the 2^n masks; both must give the brute cut set
     rng = random.Random(43)
     n = 17
     edges = oracles.random_edges(rng, n, 0.12)
@@ -56,27 +56,41 @@ def test_flow_route_agrees_beyond_the_table_threshold():
     assert as_pairs(index) == set(oracles.ordered_cuts(n, edges, 2))
 
 
-def test_table_route_matches_flow_route(monkeypatch):
-    # the completion tables must make every branch decision the max-flow
-    # test makes: same cuts, same order, same crossing, same counters
+def test_filter_route_matches_flow_route(monkeypatch):
+    # the 2^n filter must give what the max-flow branching gives: same
+    # cuts, same order, same crossing, same aborts, and both the brute set
     rng = random.Random(61)
     graphs = [Graph.empty(0), triangle()]
     for _ in range(40):
         n = rng.randint(1, 12)
         graphs.append(Graph.from_edges(
             n, oracles.random_edges(rng, n, rng.uniform(0.1, 0.9))))
+    cases = [(g, k, cap) for g in graphs for k in range(5)
+             for cap in (40, UNBOUNDED)]
     runs = []
-    for table_n in (cuts._TABLE_N, -1):
-        monkeypatch.setattr(cuts, "_TABLE_N", table_n)
-        runs.append([enumerate_k_cuts(g, k, cap)
-                     for g in graphs for k in range(5) for cap in (40, UNBOUNDED)])
-    for table, flow in zip(*runs):
-        if table is None or flow is None:
-            assert table is flow
+    for filter_n in (cuts._FILTER_N, -1):
+        monkeypatch.setattr(cuts, "_FILTER_N", filter_n)
+        runs.append([enumerate_k_cuts(g, k, cap) for g, k, cap in cases])
+    brute = {(id(g), k): oracles.ordered_cuts(g.n, list(g.edges()), k)
+             for g in graphs for k in range(5)}
+    for (g, k, cap), filtered, flow in zip(cases, *runs):
+        if filtered is None or flow is None:
+            assert filtered is flow
+            assert len(brute[id(g), k]) > cap
             continue
-        assert table.masks == flow.masks
-        assert table.crossing == flow.crossing
-        assert table.stats == flow.stats
+        assert filtered.masks == flow.masks
+        assert filtered.crossing == flow.crossing
+        assert as_pairs(filtered) == set(brute[id(g), k])
+
+
+def test_long_path_enumerates_without_recursion():
+    # 1500 vertices: far beyond the filter, and deeper than Python's
+    # recursion limit, so only an explicit stack gets through
+    n = 1500
+    g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    index = enumerate_k_cuts(g, 0)
+    assert index.masks == [0, (1 << n) - 1]
+    assert index.crossing == [0, 0]
 
 
 def test_triangle_frozen_counts():
@@ -108,16 +122,17 @@ def test_cap_abort_and_argument_guards():
         enumerate_k_cuts(triangle(), -1)
 
 
-def test_pruning_never_wastes_a_subtree():
-    # the feasibility test keeps a branch only if some completion is a
-    # k-cut, so every surviving subtree emits: that is the polynomial-delay
-    # argument, visible as zero_emit_subtrees == 0
+def test_pruning_never_wastes_a_subtree(monkeypatch):
+    # the max-flow test keeps a branch only if some completion is a k-cut,
+    # so no kept branch has both children pruned: by induction on depth,
+    # every kept subtree emits, which is the polynomial-delay argument
+    monkeypatch.setattr(cuts, "_FILTER_N", -1)
     rng = random.Random(53)
     for _ in range(20):
         n = rng.randint(1, 9)
         g = Graph.from_edges(n, oracles.random_edges(rng, n, rng.random()))
         index = enumerate_k_cuts(g, rng.randint(0, 6))
-        assert index.stats.zero_emit_subtrees == 0
+        assert index.stats.dead_ends == 0
         assert index.stats.emitted == len(index)
 
 

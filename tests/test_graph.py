@@ -13,7 +13,7 @@ from cluedit import (Clustering, EditSet, Graph, apply_edits, cluster_graph_of,
                      clustering_to_edit_set, connected_components,
                      edit_distance, format_graph, induced_subgraph,
                      is_cluster_graph, parse_graph, twin_classes)
-from cluedit.graph import bits, mask_of
+from cluedit.graph import MAX_PARSE_VERTICES, bits, mask_of
 
 
 def path3() -> Graph:
@@ -179,6 +179,8 @@ def test_format_and_parse_roundtrip():
     ("p cep 2 2\ne 1 2\n", "found 1"),
     ("p cep 2 0\nx 1 2\n", "unknown record"),
     ("", "missing header"),
+    ("p cep 99999999999 0\n", "exceed the limit of 10000000"),
+    (f"p cep {MAX_PARSE_VERTICES + 1} 0\n", "exceed the limit"),
 ])
 def test_parse_graph_errors(text, message):
     with pytest.raises(ValueError, match=message):
