@@ -17,7 +17,7 @@ from .graph import (Clustering, EditSet, Graph, apply_edits,
                     clustering_to_edit_set, cluster_graph_of,
                     connected_components, edit_distance, format_graph,
                     induced_subgraph, is_cluster_graph, parse_graph,
-                    read_graph, twin_classes, write_graph)
+                    read_graph, write_graph)
 from .preprocess import (Instance, PreprocessOutcome, lift_clustering,
                          lift_edits, preprocess)
 from .reductions import (CliqueArtifact, CliqueWitness, DegreeArtifact,

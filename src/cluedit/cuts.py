@@ -6,12 +6,13 @@ search: the k-cuts are exactly the masks S with m - e(S) - e(V - S) <= k,
 read off one 2^n table of inside-edge counts.  Larger graphs branch vertex
 by vertex on an explicit stack and prune a branch as soon as a max-flow
 test shows that no completion stays within k, so every surviving branch
-emits at least one cut (polynomial delay).
+emits at least one cut (polynomial delay).  The max-flow works on the
+graph's bitmask rows: its residual network is one int per vertex and each
+breadth-first layer is one mask.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -32,8 +33,11 @@ def min_cut_leq(g: Graph, a: int, b: int, k: int) -> bool:
     """True iff the minimum edge cut separating vertex sets a and b is <= k.
 
     a and b are disjoint vertex masks.  Unit capacities in both directions,
-    contracted super-source/super-sink, BFS augmenting paths, giving up as
-    soon as k+1 paths exist.  Empty a or b cuts nothing, so always True.
+    contracted super-source/super-sink, giving up as soon as k+1 augmenting
+    paths exist.  Everything is a bitmask over ``g.rows``: bit v of
+    ``out[u]`` is set while u sends a unit to v, which saturates the arc
+    u->v, and each path comes from a breadth-first search whose layers are
+    masks.  Empty a or b cuts nothing, so always True.
     """
     if a & b:
         raise ValueError("sides overlap")
@@ -41,35 +45,29 @@ def min_cut_leq(g: Graph, a: int, b: int, k: int) -> bool:
         raise ValueError("k must be >= 0")
     if a == 0 or b == 0:
         return True
-    flow: dict[tuple[int, int], int] = {}
-    found = 0
-    while found <= k:
-        # BFS in the residual network from every a-vertex at once
-        parent: dict[int, int] = {v: -1 for v in bits(a)}
-        queue = deque(parent)
-        reached = -1
-        while queue:
-            u = queue.popleft()
-            for v in bits(g.rows[u]):
-                if v in parent or a >> v & 1:
-                    continue
-                if flow.get((u, v), 0) >= 1:
-                    continue
-                parent[v] = u
-                if b >> v & 1:
-                    reached = v
-                    queue.clear()
-                    break
-                queue.append(v)
-        if reached < 0:
-            return True  # max flow == found <= k
-        v = reached
-        while parent[v] != -1:
-            u = parent[v]
-            flow[(u, v)] = flow.get((u, v), 0) + 1
-            flow[(v, u)] = flow.get((v, u), 0) - 1
+    rows = g.rows
+    out = [0] * g.n
+    for _ in range(k + 1):
+        layers = [a]
+        seen = frontier = a
+        while not frontier & b:
+            reach = 0
+            for u in bits(frontier):
+                reach |= rows[u] & ~out[u]
+            frontier = reach & ~seen
+            if not frontier:
+                return True  # max flow == paths found so far <= k
+            seen |= frontier
+            layers.append(frontier)
+        # back-trace from the lowest reached b-vertex through the layers
+        v = (frontier & b & -(frontier & b)).bit_length() - 1
+        for layer in reversed(layers[:-1]):
+            u = next(u for u in bits(layer & rows[v]) if not out[u] >> v & 1)
+            if out[v] >> u & 1:
+                out[v] ^= 1 << u  # cancel the unit v sends back to u
+            else:
+                out[u] |= 1 << v
             v = u
-        found += 1
     return False
 
 

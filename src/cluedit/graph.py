@@ -258,25 +258,9 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(old), tuple(rows), m // 2), tuple(old)
 
 
-def twin_classes(g: Graph) -> list[int]:
-    """Masks of maximal closed-neighbourhood twin classes.
-
-    Two vertices are twins iff N[u] == N[v]; each class induces a clique.
-    Ordered by smallest contained vertex id.
-    """
-    groups: dict[int, int] = {}
-    order: list[int] = []
-    for v in range(g.n):
-        key = g.rows[v] | (1 << v)
-        if key not in groups:
-            groups[key] = 0
-            order.append(key)
-        groups[key] |= 1 << v
-    return [groups[k] for k in order]
-
-
 # ---------------------------------------------------------------------------
-# text format: "c" comments, "p cep <n> <m>" header, "e <u> <v>" with 1-based ids
+# text format: "c" comments, "p cep <n> <m>" header, "e <u> <v>" with 1-based
+# ids; parse_graph also reads PACE 2021 edge lines, a bare "<u> <v>"
 
 def format_graph(g: Graph) -> str:
     lines = [f"p cep {g.n} {g.m}"]
@@ -309,13 +293,14 @@ def parse_graph(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: {n} vertices exceed the "
                                  f"limit of {MAX_PARSE_VERTICES}")
             rows = [0] * n
-        elif fields[0] == "e":
+        elif fields[0] == "e" or fields[0].isdigit():
+            ends = fields[1:] if fields[0] == "e" else fields
             if n is None:
                 raise ValueError(f"line {lineno}: edge before header")
-            if len(fields) != 3:
+            if len(ends) != 2:
                 raise ValueError(f"line {lineno}: malformed edge {line!r}")
             try:
-                u, v = int(fields[1]) - 1, int(fields[2]) - 1
+                u, v = int(ends[0]) - 1, int(ends[1]) - 1
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed edge {line!r}") from None
             if not (0 <= u < n and 0 <= v < n) or u == v:

@@ -25,7 +25,8 @@ from math import comb
 
 from .cnf import CnfFormula, falsified_clause
 from .graph import Clustering, EditSet, Graph
-from .regularize import Recipe, RegularizedFormula, regularize
+from .regularize import (Recipe, RegularizedFormula, apply_recipes,
+                         dedupe_clause, regularize)
 
 MATERIALIZE_VERTEX_LIMIT = 12000
 
@@ -34,21 +35,6 @@ RoleSpan = tuple[int, int, str]          # [start, stop) vertex range + role tag
 
 def _norm6(z: int) -> int:
     return (z - 1) % 6 + 1
-
-
-def _apply_recipes(recipes: tuple[Recipe, ...], assignment: dict[int, bool]) -> dict[int, bool]:
-    out: dict[int, bool] = {}
-    for v, rec in enumerate(recipes, start=1):
-        if rec[0] == "const":
-            out[v] = rec[1]
-        else:
-            _, src, keep = rec
-            try:
-                val = assignment[src]
-            except KeyError:
-                raise ValueError(f"assignment misses source variable {src}") from None
-            out[v] = val if keep else not val
-    return out
 
 
 # ===========================================================================
@@ -406,22 +392,15 @@ def normalize_for_eth(f: CnfFormula) -> tuple[CnfFormula, tuple[Recipe, ...]]:
     for cl in f.clauses:
         if len(cl) > 3:
             raise ValueError("clauses wider than 3 are not supported")
-        seen: list[int] = []
-        taut = False
-        for lit in cl:
-            if -lit in seen:
-                taut = True
-                break
-            if lit not in seen:
-                seen.append(lit)
-        if taut:
+        seen = dedupe_clause(cl)
+        if seen is None:
             continue
         if len(seen) == 3:
-            clauses.append(tuple(seen))
+            clauses.append(seen)
         elif len(seen) == 2:
             c = fresh(True)
-            clauses.append(tuple(seen) + (c,))
-            clauses.append(tuple(seen) + (-c,))
+            clauses.append(seen + (c,))
+            clauses.append(seen + (-c,))
         else:
             a, b = fresh(True), fresh(True)
             for sa in (a, -a):
@@ -486,7 +465,7 @@ class DegreeArtifact:
 
 def extend_eth_assignment(art: DegreeArtifact,
                           assignment: dict[int, bool]) -> dict[int, bool]:
-    return _apply_recipes(art.recipes, assignment)
+    return apply_recipes(art.recipes, assignment)
 
 
 def build_eth(phi: CnfFormula) -> DegreeArtifact:

@@ -53,16 +53,11 @@ def _negate_recipe(rec: Recipe) -> Recipe:
     return ("var", rec[1], not rec[2])
 
 
-def extend_assignment(reg: RegularizedFormula,
-                      assignment: dict[int, bool]) -> dict[int, bool]:
-    """Push a satisfying assignment of the source formula to the output.
-
-    When the rewrite collapsed to a canonical seed (flag != "none") the
-    result ignores `assignment` entirely.
-    """
+def apply_recipes(recipes: tuple[Recipe, ...],
+                  assignment: dict[int, bool]) -> dict[int, bool]:
+    """Rebuild variables 1..len(recipes) from a source assignment."""
     out: dict[int, bool] = {}
-    for v in range(1, reg.formula.var_count + 1):
-        rec = reg.recipes[v - 1]
+    for v, rec in enumerate(recipes, start=1):
         if rec[0] == "const":
             out[v] = rec[1]
         else:
@@ -75,10 +70,20 @@ def extend_assignment(reg: RegularizedFormula,
     return out
 
 
+def extend_assignment(reg: RegularizedFormula,
+                      assignment: dict[int, bool]) -> dict[int, bool]:
+    """Push a satisfying assignment of the source formula to the output.
+
+    When the rewrite collapsed to a canonical seed (flag != "none") the
+    result ignores `assignment` entirely.
+    """
+    return apply_recipes(reg.recipes, assignment)
+
+
 # ---------------------------------------------------------------------------
 # pass 1: clean up, unit-propagate, pad short clauses
 
-def _dedupe(clause: Iterable[int]) -> tuple[int, ...] | None:
+def dedupe_clause(clause: Iterable[int]) -> tuple[int, ...] | None:
     """Drop repeated literals; None for tautologies."""
     seen: list[int] = []
     for lit in clause:
@@ -118,7 +123,7 @@ def _pass_clean(f: CnfFormula) -> tuple[list[list[int]], int, dict[int, Recipe],
     for cl in f.clauses:
         if len(cl) > 3:
             raise ValueError("clauses wider than 3 are not supported")
-        d = _dedupe(cl)
+        d = dedupe_clause(cl)
         if d is not None:
             clauses.append(d)
     clauses, contradiction = _unit_propagate(clauses)

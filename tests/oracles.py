@@ -9,11 +9,14 @@ the package, except two replays of a package routine by a second route:
 on the package's graph primitives, so the one-pass ``preprocess`` is
 compared against the rules as stated, and ``at_most_by_exact_loop`` answers
 at-most mode with one exact-mode solve per cluster count.
+``min_cut_leq_dict`` is the max-flow test on a pair-keyed dict residual
+network that the bitmask ``cuts.min_cut_leq`` replaced.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 import mpmath
 import numpy as np
@@ -217,6 +220,51 @@ def min_cut(n, edges, s_mask: int, t_mask: int) -> int:
         if m & s_mask == s_mask and m & t_mask == 0:
             best = min(best, crossing_count(n, edges, m))
     return best
+
+
+def min_cut_leq_dict(g: Graph, a: int, b: int, k: int) -> bool:
+    """True iff the minimum edge cut separating vertex sets a and b is <= k.
+
+    The dict-based max-flow that ``cuts.min_cut_leq`` replaced, kept as its
+    reference: residual flow in a dict keyed by vertex pairs, BFS over a
+    deque, one edge at a time.
+    """
+    if a & b:
+        raise ValueError("sides overlap")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if a == 0 or b == 0:
+        return True
+    flow: dict[tuple[int, int], int] = {}
+    found = 0
+    while found <= k:
+        # BFS in the residual network from every a-vertex at once
+        parent: dict[int, int] = {v: -1 for v in bits(a)}
+        queue = deque(parent)
+        reached = -1
+        while queue:
+            u = queue.popleft()
+            for v in bits(g.rows[u]):
+                if v in parent or a >> v & 1:
+                    continue
+                if flow.get((u, v), 0) >= 1:
+                    continue
+                parent[v] = u
+                if b >> v & 1:
+                    reached = v
+                    queue.clear()
+                    break
+                queue.append(v)
+        if reached < 0:
+            return True  # max flow == found <= k
+        v = reached
+        while parent[v] != -1:
+            u = parent[v]
+            flow[(u, v)] = flow.get((u, v), 0) + 1
+            flow[(v, u)] = flow.get((v, u), 0) - 1
+            v = u
+        found += 1
+    return False
 
 
 def leq_pow2_sqrt(value: int, coeff: int, q: int) -> bool:

@@ -92,6 +92,30 @@ def test_solve_at_most_on_the_empty_graph(graph_file):
     assert out["clusters"] == []
 
 
+def test_solve_pace_format(tmp_path):
+    # PACE 2021 edge lines: a bare "u v" after the header
+    path = tmp_path / "pace.gr"
+    path.write_text("c path on three vertices\np cep 3 2\n1 2\n2 3\n")
+    res = run_cli("solve", str(path), "--p", "2", "--k", "1")
+    assert res.returncode == 0
+    out = json.loads(res.stdout)
+    assert out["answer"] == "yes" and out["cost"] == 1
+
+
+def test_solve_two_bridged_cliques(graph_file):
+    # a large easy graph: 300 vertices, only the bridge needs deleting
+    side = 150
+    edges = [(u, v) for base in (0, side)
+             for u in range(base, base + side) for v in range(u + 1, base + side)]
+    g = Graph.from_edges(2 * side, edges + [(side - 1, side)])
+    res = run_cli("solve", graph_file(g), "--p", "2", "--k", "1")
+    assert res.returncode == 0
+    out = json.loads(res.stdout)
+    assert out["answer"] == "yes" and out["cost"] == 1
+    assert out["deletions"] == [[side, side + 1]]
+    assert out["additions"] == []
+
+
 def test_solve_cap_abort(graph_file):
     res = run_cli("solve", graph_file(PATH3), "--p", "2", "--k", "1",
                   "--cap", "1")

@@ -150,6 +150,38 @@ def test_min_cut_leq_matches_brute_force():
             assert min_cut_leq(g, a, b, k) == (true_cut <= k)
 
 
+def test_min_cut_leq_matches_dict_reference():
+    # 17-60 vertices: beyond the 2^n brute force, so the bitmask flow is
+    # compared with the dict-based max-flow it replaced
+    rng = random.Random(67)
+    answers = set()
+    for _ in range(60):
+        n = rng.randint(17, 60)
+        density = rng.choice((0.04, 0.08, 0.15, 0.3, 0.6))
+        g = Graph.from_edges(n, oracles.random_edges(rng, n, density))
+        vs = rng.sample(range(n), rng.randint(1, 8) + rng.randint(1, 8))
+        half = rng.randint(1, len(vs) - 1)
+        a, b = mask_of(vs[:half]), mask_of(vs[half:])
+        for k in range(13):
+            got = min_cut_leq(g, a, b, k)
+            assert got == oracles.min_cut_leq_dict(g, a, b, k)
+            answers.add(got)
+    assert answers == {True, False}
+
+
+def test_two_bridged_cliques_have_four_cuts():
+    # two 100-cliques joined by one edge: with k = 1 only the trivial cuts
+    # and the two sides of the bridge survive the branching
+    side = 100
+    edges = [(u, v) for base in (0, side)
+             for u in range(base, base + side) for v in range(u + 1, base + side)]
+    g = Graph.from_edges(2 * side, edges + [(side - 1, side)])
+    index = enumerate_k_cuts(g, 1)
+    a = (1 << side) - 1
+    assert index.masks == [0, a, a << side, (1 << 2 * side) - 1]
+    assert index.crossing == [0, 1, 1, 0]
+
+
 def test_min_cut_leq_disconnected_sides():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert min_cut_leq(g, mask_of([0]), mask_of([2]), 0)

@@ -12,7 +12,7 @@ import oracles
 from cluedit import (Clustering, EditSet, Graph, apply_edits, cluster_graph_of,
                      clustering_to_edit_set, connected_components,
                      edit_distance, format_graph, induced_subgraph,
-                     is_cluster_graph, parse_graph, twin_classes)
+                     is_cluster_graph, parse_graph)
 from cluedit.graph import MAX_PARSE_VERTICES, bits, mask_of
 
 
@@ -151,15 +151,6 @@ def test_induced_subgraph():
     assert list(sub.edges()) == [(0, 1), (1, 2)]
 
 
-def test_twin_classes():
-    assert twin_classes(triangle()) == [0b111]
-    assert twin_classes(path3()) == [0b001, 0b010, 0b100]
-    # two pendant twins attached to the same clique vertex are not twins:
-    # their closed neighbourhoods differ unless they are adjacent
-    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
-    assert twin_classes(g) == [0b0001, 0b0010, 0b1100]
-
-
 def test_format_and_parse_roundtrip():
     g = Graph.from_edges(4, [(0, 2), (1, 3)])
     text = format_graph(g)
@@ -167,6 +158,14 @@ def test_format_and_parse_roundtrip():
     assert "e 1 3" in text and text.endswith("\n")
     assert parse_graph(text) == g
     assert parse_graph("c comment\np cep 2 0\n") == Graph.empty(2)
+
+
+def test_pace_edge_lines_roundtrip():
+    # PACE 2021 files list each edge as a bare "u v"; both forms may mix
+    text = "c pace\np cep 4 3\n1 3\n2 4\ne 3 4\n"
+    g = parse_graph(text)
+    assert g == Graph.from_edges(4, [(0, 2), (1, 3), (2, 3)])
+    assert parse_graph(format_graph(g)) == g
 
 
 @pytest.mark.parametrize("text, message", [
@@ -178,6 +177,15 @@ def test_format_and_parse_roundtrip():
     ("p cep 2 2\ne 1 2\ne 2 1\n", "duplicate edge"),
     ("p cep 2 2\ne 1 2\n", "found 1"),
     ("p cep 2 0\nx 1 2\n", "unknown record"),
+    ("1 2\n", "edge before header"),
+    ("p cep 2 1\n1 3\n", "out of range"),
+    ("p cep 2 1\n2 2\n", "out of range"),
+    ("p cep 2 1\n0 1\n", "out of range"),
+    ("p cep 2 2\n1 2\n2 1\n", "duplicate edge"),
+    ("p cep 2 2\n1 2\n", "found 1"),
+    ("p cep 3 1\n1 2 3\n", "malformed edge"),
+    ("p cep 3 1\n1\n", "malformed edge"),
+    ("p cep 3 1\n1 x\n", "malformed edge"),
     ("", "missing header"),
     ("p cep 99999999999 0\n", "exceed the limit of 10000000"),
     (f"p cep {MAX_PARSE_VERTICES + 1} 0\n", "exceed the limit"),
