@@ -15,16 +15,23 @@ enough to materialize.
 
 Both carry exact-budget witness builders that convert a satisfying
 assignment into a clustering whose edit cost meets the budget exactly.
+Each construction's adjacency is stated once.  The bounded-degree witness
+builds only the clusters and derives its 14m edits from them with
+`clustering_to_edit_set`.  For the balanced-clique construction one walk
+over the cycle and clause vertices (`_gadget`) drives the materializer,
+the attachment counts and the counted witness.  Both artifacts derive
+their role maps from their own id arithmetic.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .cnf import CnfFormula, falsified_clause
-from .graph import Clustering, EditSet, Graph
+from .graph import Clustering, EditSet, Graph, clustering_to_edit_set
 from .regularize import (Recipe, RegularizedFormula, apply_recipes,
                          dedupe_clause, regularize)
 
@@ -73,7 +80,6 @@ class CliqueArtifact:
     budget: int
     vertex_count: int
     edge_count: int
-    role_map: tuple[RoleSpan, ...]
 
     @property
     def n_reg(self) -> int:
@@ -94,19 +100,23 @@ class CliqueArtifact:
         base = 6 * self.p * self.L + 6 * self.n_reg
         return base + 9 * j + 3 * (beta - 1) + (xi - 1)
 
-
-def _w_attached(part: int, c: int) -> tuple[tuple[int, int], ...]:
-    return ((part, c), (part, _norm6(c + 1)))
-
-
-def _s_w_neighbors(clause: tuple[int, ...], beta: int) -> tuple[tuple[int, int], ...]:
-    """(variable, cycle position) of the three cycle neighbors of s_{beta,*}."""
-    return tuple((abs(clause[eta - 1]), _norm6(2 * beta + 2 * eta - 3))
-                 for eta in (1, 2, 3))
+    @property
+    def role_map(self) -> tuple[RoleSpan, ...]:
+        spans = []
+        for r in range(1, self.p + 1):
+            for alpha in range(1, 7):
+                rng = self.clique_range(r, alpha)
+                spans.append((rng.start, rng.stop, f"clique r={r} alpha={alpha}"))
+        spans += [(self.w_id(x, 1), self.w_id(x, 6) + 1, f"cycle x={x}")
+                  for x in range(1, self.n_reg + 1)]
+        spans += [(self.s_id(j, 1, 1), self.s_id(j, 3, 3) + 1, f"clause j={j}")
+                  for j in range(self.m_reg)]
+        return tuple(spans)
 
 
 def _s_attached(clause: tuple[int, ...], part_of: dict[int, int],
                 beta: int, xi: int) -> tuple[tuple[int, int], ...]:
+    """Distinct clique keys s_{beta,xi} is fully joined to, in rule order."""
     out = []
     for eta in (1, 2, 3):
         lit = clause[eta - 1]
@@ -117,7 +127,31 @@ def _s_attached(clause: tuple[int, ...], part_of: dict[int, int],
         else:
             out.append((r, _norm6(2 * beta + 2 * eta - 3)))
             out.append((r, _norm6(2 * beta + 2 * eta - 2)))
-    return tuple(out)
+    return tuple(dict.fromkeys(out))
+
+
+def _gadget(art: CliqueArtifact) -> Iterator[tuple[int, str, tuple[tuple[int, int], ...],
+                                                   tuple[int, ...]]]:
+    """Walk the cycle and clause vertices in id order.
+
+    Yields (vertex id, kind, attached clique keys, cycle neighbours), kind
+    being the role-map tag "cycle" or "clause".  A cycle vertex names only
+    its successor w_{x,c+1} and a clause vertex its three cycle vertices,
+    so every edge outside the cliques appears once.
+    """
+    part_of = art.regularized.part_index()
+    for x in range(1, art.n_reg + 1):
+        r = part_of[x]
+        for c in range(1, 7):
+            yield (art.w_id(x, c), "cycle", ((r, c), (r, _norm6(c + 1))),
+                   (art.w_id(x, _norm6(c + 1)),))
+    for j, clause in enumerate(art.regularized.formula.clauses):
+        for beta in (1, 2, 3):
+            nbrs = tuple(art.w_id(abs(clause[eta - 1]), _norm6(2 * beta + 2 * eta - 3))
+                         for eta in (1, 2, 3))
+            for xi in (1, 2, 3):
+                yield (art.s_id(j, beta, xi), "clause",
+                       _s_attached(clause, part_of, beta, xi), nbrs)
 
 
 def build_multivariate(phi: CnfFormula, p: int, k: int,
@@ -157,36 +191,15 @@ def build_multivariate(phi: CnfFormula, p: int, k: int,
     vertices = 6 * p * L + 6 * n_reg + 9 * m_reg
     edges = (6 * p * comb(L, 2) + (12 * n_reg + 45 * m_reg) * L
              + 6 * n_reg + 27 * m_reg)
-
-    spans: list[RoleSpan] = []
-    for r in range(1, p + 1):
-        for alpha in range(1, 7):
-            base = ((r - 1) * 6 + (alpha - 1)) * L
-            spans.append((base, base + L, f"clique r={r} alpha={alpha}"))
-    wb = 6 * p * L
-    for x in range(1, n_reg + 1):
-        spans.append((wb + (x - 1) * 6, wb + x * 6, f"cycle x={x}"))
-    sb = wb + 6 * n_reg
-    for j in range(m_reg):
-        spans.append((sb + 9 * j, sb + 9 * (j + 1), f"clause j={j}"))
-
-    return CliqueArtifact(reg, p, k, eps, L, L_factor, budget,
-                          vertices, edges, tuple(spans))
+    return CliqueArtifact(reg, p, k, eps, L, L_factor, budget, vertices, edges)
 
 
 def attachment_counts(art: CliqueArtifact) -> dict[tuple[int, int], int]:
     """How many cycle/clause vertices are fully joined to each clique."""
-    part_of = art.regularized.part_index()
     counts = {(r, a): 0 for r in range(1, art.p + 1) for a in range(1, 7)}
-    for x in range(1, art.n_reg + 1):
-        for c in range(1, 7):
-            for key in _w_attached(part_of[x], c):
-                counts[key] += 1
-    for clause in art.regularized.formula.clauses:
-        for beta in (1, 2, 3):
-            for xi in (1, 2, 3):
-                for key in set(_s_attached(clause, part_of, beta, xi)):
-                    counts[key] += 1
+    for _, _, attached, _ in _gadget(art):
+        for key in attached:
+            counts[key] += 1
     return counts
 
 
@@ -195,42 +208,26 @@ def materialize_graph(art: CliqueArtifact) -> Graph:
     n = art.vertex_count
     if n > MATERIALIZE_VERTEX_LIMIT:
         raise ValueError(f"graph too large to materialize ({n} vertices)")
-    part_of = art.regularized.part_index()
-    L = art.L
     rows = [0] * n
-
-    def range_mask(r: int, alpha: int) -> int:
-        lo = art.clique_range(r, alpha).start
-        return ((1 << L) - 1) << lo
-
-    attach_bits = {(r, a): 0 for r in range(1, art.p + 1) for a in range(1, 7)}
-
-    for x in range(1, art.n_reg + 1):
-        for c in range(1, 7):
-            w = art.w_id(x, c)
-            rows[w] |= 1 << art.w_id(x, _norm6(c + 1))
-            rows[art.w_id(x, _norm6(c + 1))] |= 1 << w
-            for key in _w_attached(part_of[x], c):
-                rows[w] |= range_mask(*key)
-                attach_bits[key] |= 1 << w
-
-    for j, clause in enumerate(art.regularized.formula.clauses):
-        for beta in (1, 2, 3):
-            wkeys = _s_w_neighbors(clause, beta)
-            for xi in (1, 2, 3):
-                s = art.s_id(j, beta, xi)
-                for x, c in wkeys:
-                    rows[s] |= 1 << art.w_id(x, c)
-                    rows[art.w_id(x, c)] |= 1 << s
-                for key in set(_s_attached(clause, part_of, beta, xi)):
-                    rows[s] |= range_mask(*key)
-                    attach_bits[key] |= 1 << s
-
+    clique_masks = {}
     for r in range(1, art.p + 1):
         for alpha in range(1, 7):
-            full = range_mask(r, alpha) | attach_bits[(r, alpha)]
-            for v in art.clique_range(r, alpha):
-                rows[v] = full ^ (1 << v)
+            lo = art.clique_range(r, alpha).start
+            clique_masks[(r, alpha)] = ((1 << art.L) - 1) << lo
+    attach_bits = dict.fromkeys(clique_masks, 0)
+
+    for v, _, attached, nbrs in _gadget(art):
+        for u in nbrs:
+            rows[v] |= 1 << u
+            rows[u] |= 1 << v
+        for key in attached:
+            rows[v] |= clique_masks[key]
+            attach_bits[key] |= 1 << v
+
+    for key, mask in clique_masks.items():
+        full = mask | attach_bits[key]
+        for v in art.clique_range(*key):
+            rows[v] = full ^ (1 << v)
 
     m = sum(row.bit_count() for row in rows) // 2
     if m != art.edge_count:
@@ -247,8 +244,7 @@ class CliqueWitness:
     budget formula.
     """
 
-    cluster_of_w: dict[tuple[int, int], tuple[int, int]]   # (x, c) -> cluster
-    cluster_of_s: dict[tuple[int, int, int], tuple[int, int]]
+    cluster_of: dict[int, tuple[int, int]]   # cycle/clause vertex id -> cluster
     cut_clique: int
     cut_cycle: int
     cut_attachment: int
@@ -278,91 +274,59 @@ def multivariate_witness(art: CliqueArtifact,
     part_of = reg.part_index()
     L = art.L
 
-    place_w: dict[tuple[int, int], tuple[int, int]] = {}
+    place: dict[int, tuple[int, int]] = {}
     for x in range(1, f.var_count + 1):
-        want_odd = assignment[x]
         for c in range(1, 7):
-            a1, a2 = c, _norm6(c + 1)
-            alpha = a1 if (a1 % 2 == 1) == want_odd else a2
-            place_w[(x, c)] = (part_of[x], alpha)
-
-    place_s: dict[tuple[int, int, int], tuple[int, int]] = {}
+            alpha = c if (c % 2 == 1) == assignment[x] else _norm6(c + 1)
+            place[art.w_id(x, c)] = (part_of[x], alpha)
     for j, clause in enumerate(f.clauses):
         sat_eta = next(eta for eta in (1, 2, 3)
                        if assignment[abs(clause[eta - 1])] == (clause[eta - 1] > 0))
         for beta in (1, 2, 3):
             for xi in (1, 2, 3):
                 eta = (sat_eta + xi - 2) % 3 + 1
-                lit = clause[eta - 1]
-                x = abs(lit)
+                x = abs(clause[eta - 1])
                 phi = 1 if assignment[x] else 0
-                place_s[(j, beta, xi)] = (part_of[x], _norm6(2 * beta + 2 * eta - 2 - phi))
+                place[art.s_id(j, beta, xi)] = (part_of[x], _norm6(2 * beta + 2 * eta - 2 - phi))
 
     cut_clique = 0
-    for (x, c), cl in place_w.items():
-        attached = _w_attached(part_of[x], c)
-        if cl not in attached:
-            raise AssertionError("cycle vertex placed away from its cliques")
-        cut_clique += L * (len(attached) - 1)
-    for j, clause in enumerate(f.clauses):
-        for beta in (1, 2, 3):
-            for xi in (1, 2, 3):
-                attached = set(_s_attached(clause, part_of, beta, xi))
-                cl = place_s[(j, beta, xi)]
-                if cl not in attached:
-                    raise AssertionError("clause vertex placed away from its cliques")
-                cut_clique += L * (len(attached) - 1)
-
-    kept_cycle = cut_cycle = 0
-    for x in range(1, f.var_count + 1):
-        for c in range(1, 7):
-            if place_w[(x, c)] == place_w[(x, _norm6(c + 1))]:
-                kept_cycle += 1
-            else:
-                cut_cycle += 1
-    kept_att = cut_att = 0
-    for j, clause in enumerate(f.clauses):
-        for beta in (1, 2, 3):
-            wkeys = _s_w_neighbors(clause, beta)
-            for xi in (1, 2, 3):
-                cl = place_s[(j, beta, xi)]
-                for key in wkeys:
-                    if place_w[key] == cl:
-                        kept_att += 1
-                    else:
-                        cut_att += 1
-
+    kept = {"cycle": 0, "clause": 0}     # cycle edges, attachment edges
+    cut = {"cycle": 0, "clause": 0}
     members = {(r, a): 0 for r in range(1, art.p + 1) for a in range(1, 7)}
-    for cl in place_w.values():
+    for v, kind, attached, nbrs in _gadget(art):
+        cl = place[v]
+        if cl not in attached:
+            raise AssertionError(f"{kind} vertex placed away from its cliques")
+        cut_clique += L * (len(attached) - 1)
         members[cl] += 1
-    for cl in place_s.values():
-        members[cl] += 1
-    additions = sum(comb(L + t, 2) - comb(L, 2) - L * t for t in members.values())
-    additions -= kept_cycle + kept_att
+        for u in nbrs:
+            if place[u] == cl:
+                kept[kind] += 1
+            else:
+                cut[kind] += 1
 
-    cost = cut_clique + cut_cycle + cut_att + additions
+    additions = sum(comb(L + t, 2) - comb(L, 2) - L * t for t in members.values())
+    additions -= kept["cycle"] + kept["clause"]
+
+    cost = cut_clique + cut["cycle"] + cut["clause"] + additions
     if cost != art.budget:
         raise AssertionError(f"witness cost {cost} != budget {art.budget}")
     sizes = {cl: L + t for cl, t in members.items()}
-    return CliqueWitness(place_w, place_s, cut_clique, cut_cycle, cut_att,
-                         additions, cost, sizes, kept_cycle, kept_att)
+    return CliqueWitness(place, cut_clique, cut["cycle"], cut["clause"],
+                         additions, cost, sizes, kept["cycle"], kept["clause"])
 
 
 def witness_clustering(art: CliqueArtifact, wit: CliqueWitness) -> Clustering:
     """Explicit per-vertex clustering of a witness (guarded by graph size)."""
     if art.vertex_count > MATERIALIZE_VERTEX_LIMIT:
         raise ValueError("instance too large for an explicit clustering")
-    idx = {(r, a): (r - 1) * 6 + (a - 1)
-           for r in range(1, art.p + 1) for a in range(1, 7)}
     assignment = [0] * art.vertex_count
     for r in range(1, art.p + 1):
         for alpha in range(1, 7):
             for v in art.clique_range(r, alpha):
-                assignment[v] = idx[(r, alpha)]
-    for (x, c), cl in wit.cluster_of_w.items():
-        assignment[art.w_id(x, c)] = idx[cl]
-    for (j, beta, xi), cl in wit.cluster_of_s.items():
-        assignment[art.s_id(j, beta, xi)] = idx[cl]
+                assignment[v] = (r - 1) * 6 + (alpha - 1)
+    for v, (r, alpha) in wit.cluster_of.items():
+        assignment[v] = (r - 1) * 6 + (alpha - 1)
     return Clustering(tuple(assignment), 6 * art.p)
 
 
@@ -448,7 +412,6 @@ class DegreeArtifact:
     cycle_base: tuple[int, ...]          # per variable (index v-1)
     occurrence_index: dict[tuple[int, int], int]   # (clause j, eta) -> slot on var's cycle
     gadget_base: int
-    role_map: tuple[RoleSpan, ...]
 
     def cycle_length(self, x: int) -> int:
         nxt = (self.cycle_base[x] if x < len(self.cycle_base) else self.gadget_base)
@@ -461,6 +424,15 @@ class DegreeArtifact:
     def gadget_vertex(self, j: int, name: str, eta: int) -> int:
         off = (0 if name == "p" else 3) + (eta - 1)
         return self.gadget_base + 6 * j + off
+
+    @property
+    def role_map(self) -> tuple[RoleSpan, ...]:
+        spans = [(self.cycle_vertex(x, 0, 1),
+                  self.cycle_vertex(x, 0, 1) + self.cycle_length(x), f"cycle x={x}")
+                 for x in range(1, self.formula.var_count + 1)]
+        spans += [(self.gadget_vertex(j, "p", 1), self.gadget_vertex(j, "q", 3) + 1,
+                   f"gadget j={j}") for j in range(len(self.formula.clauses))]
+        return tuple(spans)
 
 
 def extend_eth_assignment(art: DegreeArtifact,
@@ -515,23 +487,16 @@ def build_eth(phi: CnfFormula) -> DegreeArtifact:
                 edges.append((qs[eta - 1], b + 2))
 
     g = Graph.from_edges(vcount, edges)
-    spans: list[RoleSpan] = []
-    for x in range(1, n + 1):
-        stop = cycle_base[x] if x < n else gadget_base
-        spans.append((cycle_base[x - 1], stop, f"cycle x={x}"))
-    for j in range(len(f.clauses)):
-        spans.append((gadget_base + 6 * j, gadget_base + 6 * (j + 1), f"gadget j={j}"))
-
     return DegreeArtifact(f, recipes, phi.var_count, g, 14 * len(f.clauses),
-                          tuple(cycle_base), occurrence_index, gadget_base,
-                          tuple(spans))
+                          tuple(cycle_base), occurrence_index, gadget_base)
 
 
 def eth_witness(art: DegreeArtifact, assignment: dict[int, bool]
                 ) -> tuple[Clustering, EditSet, int]:
     """Exact-budget witness: clustering + edit set of size 14m.
 
-    `assignment` addresses the normalized formula; use
+    Only the clusters are built; the edits are the ones that turn the graph
+    into their cluster graph.  `assignment` addresses the normalized formula; use
     `extend_eth_assignment` to push a source assignment through.
     """
     f = art.formula
@@ -539,68 +504,31 @@ def eth_witness(art: DegreeArtifact, assignment: dict[int, bool]
     if bad is not None:
         raise ValueError(f"assignment falsifies clause {bad}")
 
-    removals: list[tuple[int, int]] = []
-    additions: list[tuple[int, int]] = []
     blocks: list[list[int]] = []
-    pair_block: dict[int, int] = {}      # kept-pair lead vertex -> block index
-
-    occ_count = [0] * f.var_count
-    for clause in f.clauses:
-        for lit in clause:
-            occ_count[abs(lit) - 1] += 1
-
+    pair_block: dict[int, int] = {}      # kept pair's first vertex -> block index
     for x in range(1, f.var_count + 1):
-        base = art.cycle_base[x - 1]
-        ln = 4 * occ_count[x - 1]
-        for slot in range(occ_count[x - 1]):
-            b = base + 4 * slot
-            if assignment[x]:
-                removals.append((b + 1, b + 2))
-                removals.append((b + 3, base + (4 * slot + 4) % ln))
-                kept = [(b, b + 1), (b + 2, b + 3)]
-            else:
-                removals.append((b, b + 1))
-                removals.append((b + 2, b + 3))
-                kept = [(b + 1, b + 2), (b + 3, base + (4 * slot + 4) % ln)]
-            for u, v in kept:
-                pair_block[u] = len(blocks)
-                blocks.append([u, v])
+        # the kept pairs start at even cycle offsets if x is true, odd if false
+        base, ln = art.cycle_vertex(x, 0, 1), art.cycle_length(x)
+        for i in range(0 if assignment[x] else 1, ln, 2):
+            pair_block[base + i] = len(blocks)
+            blocks.append([base + i, base + (i + 1) % ln])
 
     for j, clause in enumerate(f.clauses):
         sat_eta = next(eta for eta in (1, 2, 3)
                        if assignment[abs(clause[eta - 1])] == (clause[eta - 1] > 0))
-        ps = [art.gadget_vertex(j, "p", e) for e in (1, 2, 3)]
-        qs = [art.gadget_vertex(j, "q", e) for e in (1, 2, 3)]
-        q_star = qs[sat_eta - 1]
-        for pv in ps:
-            removals.append((q_star, pv))
-        others = [e for e in (1, 2, 3) if e != sat_eta]
-        for eta in others:
-            lit = clause[eta - 1]
-            x = abs(lit)
-            slot = art.occurrence_index[(j, eta)]
-            b = art.cycle_base[x - 1] + 4 * slot
-            if lit > 0:
-                removals.append((qs[eta - 1], b))
-                removals.append((qs[eta - 1], b + 1))
-            else:
-                removals.append((qs[eta - 1], b + 1))
-                removals.append((qs[eta - 1], b + 2))
-        additions.append((qs[others[0] - 1], qs[others[1] - 1]))
-        blocks.append(ps + [qs[e - 1] for e in others])
-
+        blocks.append([art.gadget_vertex(j, "p", e) for e in (1, 2, 3)]
+                      + [art.gadget_vertex(j, "q", e) for e in (1, 2, 3) if e != sat_eta])
         # the chosen q joins the kept cycle pair it is attached to
         lit = clause[sat_eta - 1]
-        slot = art.occurrence_index[(j, sat_eta)]
-        b = art.cycle_base[abs(lit) - 1] + 4 * slot
-        lead = b if lit > 0 else b + 1
-        blocks[pair_block[lead]].append(q_star)
+        lead = art.cycle_vertex(abs(lit), art.occurrence_index[(j, sat_eta)],
+                                1 if lit > 0 else 2)
+        blocks[pair_block[lead]].append(art.gadget_vertex(j, "q", sat_eta))
 
-    edits = EditSet.from_pairs(removals + additions)
-    if len(edits.pairs) != art.budget:
-        raise AssertionError(f"witness size {len(edits.pairs)} != budget {art.budget}")
     clustering = Clustering.from_blocks(art.graph.n, blocks)
-    return clustering, edits, len(edits.pairs)
+    edits = clustering_to_edit_set(art.graph, clustering)
+    if len(edits) != art.budget:
+        raise AssertionError(f"witness size {len(edits)} != budget {art.budget}")
+    return clustering, edits, len(edits)
 
 
 # ===========================================================================

@@ -10,7 +10,9 @@ on the package's graph primitives, so the one-pass ``preprocess`` is
 compared against the rules as stated, and ``at_most_by_exact_loop`` answers
 at-most mode with one exact-mode solve per cluster count.
 ``min_cut_leq_dict`` is the max-flow test on a pair-keyed dict residual
-network that the bitmask ``cuts.min_cut_leq`` replaced.
+network that the bitmask ``cuts.min_cut_leq`` replaced, and
+``verify_solution_components`` is the component-scan certificate check
+that ``solver.verify_solution`` replaced with one graph comparison.
 """
 from __future__ import annotations
 
@@ -23,10 +25,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from cluedit.graph import Graph, bits, induced_subgraph
+from cluedit.graph import (Graph, apply_edits, bits, connected_components,
+                           induced_subgraph, is_cluster_graph)
 from cluedit.preprocess import (Instance, PreprocessOutcome,
                                 clique_component_masks)
-from cluedit.solver import SolveResult, SolveStats, solve_exact_p
+from cluedit.solver import Solution, SolveResult, SolveStats, solve_exact_p
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +201,24 @@ def at_most_by_exact_loop(inst: Instance, cap=None) -> SolveResult:
     if best is None:
         return SolveResult(False, None, total)
     return SolveResult(True, best.solution, total)
+
+
+def verify_solution_components(inst: Instance, sol: Solution) -> bool:
+    """Certificate check by components: the edited graph is a cluster graph
+    and its components are exactly the clusters."""
+    if len(sol.clustering.assignment) != inst.g.n:
+        return False
+    if sol.cost != len(sol.edits) or sol.cost > inst.k:
+        return False
+    edited = apply_edits(inst.g, sol.edits)
+    if not is_cluster_graph(edited):
+        return False
+    comps = connected_components(edited)
+    if sorted(comps) != sorted(sol.clustering.cluster_masks()):
+        return False
+    if inst.mode == "exact":
+        return len(comps) == inst.p
+    return len(comps) <= inst.p
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import oracles
 from conftest import criterion, criterion_note, run_cli
+from test_reductions import clique_edit_parts
 from test_regularize import pushforward_checks, scan_invariants
 
 from cluedit.bruteforce import oracle_best_cost, oracle_cost_by_block_count
@@ -377,6 +378,10 @@ def test_criterion_6_multivariate_budget():
         g = materialize_graph(art)
         target = cluster_graph_of(g.n, witness_clustering(art, wit))
         assert edit_distance(g, target) == art.budget == wit.cost
+        # each counted part, not just their sum, matches the real edits
+        assert clique_edit_parts(art, g, target) == {
+            "cut_clique": wit.cut_clique, "cut_cycle": wit.cut_cycle,
+            "cut_attachment": wit.cut_attachment, "additions": wit.additions}
 
     elapsed = time.perf_counter() - t0
     criterion_note(6, f"{elapsed:.0f}s")

@@ -1,6 +1,7 @@
 """Tests for the two hardness constructions and their witnesses."""
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -10,7 +11,8 @@ import pytest
 
 import oracles
 from cluedit.cnf import CnfFormula, falsified_clause
-from cluedit.graph import apply_edits, cluster_graph_of, edit_distance
+from cluedit.graph import (apply_edits, bits, cluster_graph_of, edit_distance,
+                           format_graph)
 from cluedit.reductions import (
     MATERIALIZE_VERTEX_LIMIT,
     attachment_counts,
@@ -173,6 +175,30 @@ def test_eth_role_map_partitions_vertices():
     assert len({tag for _, _, tag in spans}) == len(spans)
 
 
+def eth_edit_kinds(art, edits) -> Counter:
+    """Witness edits by action and the roles of their ends (cycle, p, q)."""
+    role = [""] * art.graph.n
+    for start, stop, tag in art.role_map:
+        if tag.startswith("cycle"):
+            role[start:stop] = ["cycle"] * (stop - start)
+    for j in range(len(art.formula.clauses)):
+        for name in ("p", "q"):
+            for eta in (1, 2, 3):
+                role[art.gadget_vertex(j, name, eta)] = name
+    return Counter(("delete" if art.graph.has_edge(u, v) else "add",
+                    *sorted((role[u], role[v]))) for u, v in edits.pairs)
+
+
+def check_eth_edit_accounting(art, edits) -> None:
+    m = len(art.formula.clauses)
+    assert eth_edit_kinds(art, edits) == {
+        ("delete", "cycle", "cycle"): 6 * m,   # half of every variable cycle
+        ("delete", "p", "q"): 3 * m,           # the chosen q leaves its gadget
+        ("delete", "cycle", "q"): 4 * m,       # the other two q leave the cycles
+        ("add", "q", "q"): m,                  # ... and join the p triangle
+    }
+
+
 def test_eth_witness_xyz_frozen():
     art = build_eth(XYZ)
     asg = extend_eth_assignment(art, {1: True, 2: False, 3: False})
@@ -184,6 +210,7 @@ def test_eth_witness_xyz_frozen():
     assert dict(sizes) == {2: 30, 3: 6, 5: 6}
     edited = apply_edits(art.graph, edits)
     assert edited == cluster_graph_of(art.graph.n, clustering)
+    check_eth_edit_accounting(art, edits)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -204,6 +231,7 @@ def test_eth_witness_seeded(seed):
     edited = apply_edits(art.graph, edits)
     assert edited == cluster_graph_of(art.graph.n, clustering)
     assert set(Counter(clustering.assignment).values()) <= {2, 3, 5}
+    check_eth_edit_accounting(art, edits)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +288,31 @@ def test_multivariate_minimal_witness_materialized():
     assert g.m == art.edge_count
     target = cluster_graph_of(g.n, clustering)
     assert edit_distance(g, target) == art.budget
+
+
+def clique_edit_parts(art, g, target) -> Counter:
+    """The edits turning g into target, split by the roles of their ends
+    and named after the `CliqueWitness` counts.
+
+    Counted with popcounts on the row differences, the pairs that
+    `clustering_to_edit_set` would list: the edit sets here run to
+    millions of pairs, too many to hold as tuples.
+    """
+    masks = Counter()
+    for start, stop, tag in art.role_map:
+        masks[tag.split()[0]] |= ((1 << (stop - start)) - 1) << start
+    deletion = {("clause", "clique"): "cut_clique", ("clique", "cycle"): "cut_clique",
+                ("cycle", "cycle"): "cut_cycle", ("clause", "cycle"): "cut_attachment"}
+    parts = Counter()
+    for role, mask in masks.items():
+        for v in bits(mask):
+            diff = (g.rows[v] ^ target.rows[v]) >> (v + 1) << (v + 1)
+            parts["additions"] += (diff & ~g.rows[v]).bit_count()
+            for other, other_mask in masks.items():
+                count = (diff & g.rows[v] & other_mask).bit_count()
+                if count:
+                    parts[deletion.get(tuple(sorted((role, other))), "other")] += count
+    return parts
 
 
 def test_multivariate_minimal_faithful_frozen():
@@ -400,3 +453,34 @@ def test_sidecar_eth(tmp_path):
 
 def test_materialize_limit_constant():
     assert MATERIALIZE_VERTEX_LIMIT == 12000
+
+
+# ---------------------------------------------------------------------------
+# pinned adjacency and witnesses
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_construction_outputs_pinned():
+    # digests of the full graphs and witnesses; a refactor must keep them
+    art = build_eth(XYZ)
+    clustering, edits, _ = eth_witness(
+        art, extend_eth_assignment(art, {1: True, 2: False, 3: False}))
+    mv = build_multivariate(MIN_SRC, p=1, k=1, L_factor=1)
+    wit = multivariate_witness(mv, extend_assignment(mv.regularized, {1: True}))
+    got = [
+        _sha(format_graph(art.graph)),
+        _sha(json.dumps(sorted(edits.pairs))),
+        _sha(json.dumps(clustering.assignment)),
+        _sha(format_graph(materialize_graph(mv))),
+        _sha(json.dumps(witness_clustering(mv, wit).assignment)),
+    ]
+    assert got == [
+        "55a712173f77da3d5f48efb5989b4b9a186ccea63ff3bf14fa0f529a9f2bb748",
+        "9ea2b57a92bb3aaafbf828eb08b15aab6f7f47b08d6f99a349fc9badd27b4e14",
+        "af1cbbeeecb422036bb785bd610242dd1f0ee661648b9457f190b8b5bb042c4f",
+        "05f98b152f24addd5c3d18459ce22578c7de392310d630c8bd98cc795843cb13",
+        "8fe4a1ad5366d8dd1dab20de8b64c39352b14448bc46d64d9d231d15ddc2f08b",
+    ]

@@ -11,7 +11,7 @@ from cluedit import (Clustering, EditSet, Graph, Instance, Solution,
                      arc_cost, enumerate_k_cuts, solve_at_most_p,
                      solve_exact_p, verify_solution)
 from cluedit import solver
-from cluedit.graph import mask_of
+from cluedit.graph import bits, mask_of
 from cluedit.solver import SolveStats, _dp_numpy, _dp_python, result_to_dict
 
 
@@ -245,6 +245,49 @@ def test_verify_solution_rejects_bad_certificates():
     assert not verify_solution(Instance(g, 3, 1, "exact"), good)
     # budget exceeded
     assert not verify_solution(Instance(g, 2, 0, "exact"), good)
+
+
+def _corruptions(sol: Solution, n: int):
+    """Damaged copies of a solution: one per way a certificate can lie."""
+    pairs = sorted(sol.edits.pairs)
+    blocks = [list(bits(mask)) for mask in sol.clustering.cluster_masks()]
+    if pairs:
+        dropped = EditSet(frozenset(pairs[1:]))
+        yield Solution(sol.clustering, dropped, len(dropped))
+    extra = next(((u, v) for u in range(n) for v in range(u + 1, n)
+                  if (u, v) not in sol.edits.pairs), None)
+    if extra is not None:
+        added = EditSet(sol.edits.pairs | {extra})
+        yield Solution(sol.clustering, added, len(added))
+    if len(blocks) >= 2:
+        merged = Clustering.from_blocks(n, [blocks[0] + blocks[1]] + blocks[2:])
+        yield Solution(merged, sol.edits, sol.cost)
+        moved = [blocks[0][1:], blocks[1] + blocks[0][:1]] + blocks[2:]
+        yield Solution(Clustering.from_blocks(n, moved), sol.edits, sol.cost)
+    yield Solution(sol.clustering, sol.edits, sol.cost + 1)
+
+
+def test_verify_solution_matches_component_reference():
+    rng = random.Random(4321)
+    yes = rejected = 0
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        edges = oracles.random_edges(rng, n, rng.uniform(0.2, 0.8))
+        g = Graph.from_edges(n, edges)
+        for mode in ("exact", "at_most"):
+            inst = Instance(g, rng.randint(1, n), rng.randint(0, 6), mode)
+            res = (solve_exact_p if mode == "exact" else solve_at_most_p)(inst)
+            if not res.answer:
+                continue
+            yes += 1
+            assert verify_solution(inst, res.solution)
+            assert oracles.verify_solution_components(inst, res.solution)
+            for bad in _corruptions(res.solution, n):
+                for probe in (inst, Instance(g, inst.p, inst.k + 1, mode)):
+                    got = verify_solution(probe, bad)
+                    assert got == oracles.verify_solution_components(probe, bad)
+                    rejected += not got
+    assert yes >= 40 and rejected >= 100
 
 
 def test_result_to_dict_shapes():
