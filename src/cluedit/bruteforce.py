@@ -98,7 +98,7 @@ def oracle_best_cost(g: Graph, p: int, mode: str = "exact") -> int | None:
     Returns None when no clustering qualifies (exact mode with p > n).
     """
     if g.n > ORACLE_LIMIT:
-        raise ValueError(f"oracle limited to n <= {ORACLE_LIMIT}, got {g.n}")
+        raise ValueError(f"oracle limited to {ORACLE_LIMIT} vertices, got {g.n}")
     if mode not in ("exact", "at_most"):
         raise ValueError(f"unknown mode {mode!r}")
     return _partition_cost_min(g, p, exact=(mode == "exact"))
@@ -107,42 +107,10 @@ def oracle_best_cost(g: Graph, p: int, mode: str = "exact") -> int | None:
 def oracle_cost_by_block_count(g: Graph) -> list[int | None]:
     """best[c] = optimal cost with exactly c clusters, for c in 0..n.
 
-    One sweep over all Bell(n) partitions; used where a caller needs every
+    One exact-mode search per block count; used where a caller needs every
     block count of the same graph.
     """
-    if g.n > ORACLE_LIMIT:
-        raise ValueError(f"oracle limited to n <= {ORACLE_LIMIT}, got {g.n}")
-    n = g.n
-    best: list[int | None] = [None] * (n + 1)
-    if n == 0:
-        best[0] = 0
-        return best
-    rows = g.rows
-    blocks = [0] * n
-    bsize = [0] * n
-
-    def rec(v: int, used: int, placed: int, cost: int) -> None:
-        if v == n:
-            cur = best[used]
-            if cur is None or cost < cur:
-                best[used] = cost
-            return
-        row = rows[v]
-        deg_placed = (row & placed).bit_count()
-        for b in range(used + 1):
-            if b < used:
-                inb = (row & blocks[b]).bit_count()
-                delta = (deg_placed - inb) + (bsize[b] - inb)
-            else:
-                delta = deg_placed
-            blocks[b] |= 1 << v
-            bsize[b] += 1
-            rec(v + 1, max(used, b + 1), placed | (1 << v), cost + delta)
-            blocks[b] ^= 1 << v
-            bsize[b] -= 1
-
-    rec(0, 0, 0, 0)
-    return best
+    return [oracle_best_cost(g, c) for c in range(g.n + 1)]
 
 
 def clustering_from_rgs(rgs: tuple[int, ...]) -> Clustering:

@@ -1,5 +1,11 @@
 """Command-line front end: solve, oracle, cuts, reduce.
 
+`solve` and `oracle` share one front end: `_instance` reads the graph,
+checks p and builds the `Instance` (which checks k), and `_report` prints
+either command's result and picks its exit code.  The library makes every
+other check (k, the oracle's size limit, the cut cap) and the CLI turns
+its `ValueError` into exit 2.
+
 Exit codes: 0 for YES (or generator success), 1 for a proven NO,
 2 for usage or input errors and for internal failures (any other
 exception, such as a certificate that fails self-verification).  Reports
@@ -15,7 +21,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .bruteforce import ORACLE_LIMIT, oracle_best_cost
+from .bruteforce import oracle_best_cost
 from .cnf import parse_assignment, read_dimacs
 from .cuts import UNBOUNDED, cut_count_bound, enumerate_k_cuts
 from .graph import read_graph, write_graph
@@ -50,60 +56,48 @@ def _solve_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("json", "text"), default="json")
 
 
-def _report(res_dict: dict, fmt: str) -> None:
+def _instance(args) -> Instance:
+    g = read_graph(args.graph)
+    if args.p < 1:
+        raise ValueError("p must be at least 1")
+    return Instance(g, args.p, args.k,
+                    "exact" if args.mode == "exact" else "at_most")
+
+
+def _report(res_dict: dict, fmt: str) -> int:
+    """Print a solve or oracle report; an oracle report has no edits."""
+    yes = res_dict["answer"] == "yes"
     if fmt == "json":
         _emit(res_dict)
-        return
-    print(f"answer {res_dict['answer']}")
-    if res_dict["answer"] == "yes":
-        print(f"cost {res_dict['cost']}")
-        for i, cluster in enumerate(res_dict["clusters"], start=1):
-            print(f"cluster {i}: " + " ".join(str(v) for v in cluster))
-        for tag in ("additions", "deletions"):
-            for u, v in res_dict[tag]:
-                print(f"{tag[:-1]} {u} {v}")
+    else:
+        print(f"answer {res_dict['answer']}")
+        if yes:
+            print(f"cost {res_dict['cost']}")
+            for i, cluster in enumerate(res_dict.get("clusters", ()), start=1):
+                print(f"cluster {i}: " + " ".join(str(v) for v in cluster))
+            for tag in ("additions", "deletions"):
+                for u, v in res_dict.get(tag, ()):
+                    print(f"{tag[:-1]} {u} {v}")
+    return EXIT_YES if yes else EXIT_NO
 
 
 def cmd_solve(args) -> int:
-    g = read_graph(args.graph)
-    if args.p < 1:
-        raise ValueError("p must be at least 1")
-    if args.k < 0:
-        raise ValueError("k must be nonnegative")
-    mode = "exact" if args.mode == "exact" else "at_most"
-    inst = Instance(g, args.p, args.k, mode)
-    solve = solve_exact_p if mode == "exact" else solve_at_most_p
-    res = solve(inst, args.cap)
-    _report(result_to_dict(res, g, base=1), args.format)
-    return EXIT_YES if res.answer else EXIT_NO
+    inst = _instance(args)
+    solve = solve_exact_p if inst.mode == "exact" else solve_at_most_p
+    return _report(result_to_dict(solve(inst, args.cap), inst.g, base=1),
+                   args.format)
 
 
 def cmd_oracle(args) -> int:
-    g = read_graph(args.graph)
-    if args.p < 1:
-        raise ValueError("p must be at least 1")
-    if args.k < 0:
-        raise ValueError("k must be nonnegative")
-    if g.n > ORACLE_LIMIT:
-        raise ValueError(f"oracle limited to {ORACLE_LIMIT} vertices, got {g.n}")
-    mode = "exact" if args.mode == "exact" else "at_most"
-    cost = oracle_best_cost(g, args.p, mode)
-    answer = cost is not None and cost <= args.k
-    out = {"answer": "yes" if answer else "no",
-           "cost": cost if answer else None}
-    if args.format == "json":
-        _emit(out)
-    else:
-        print(f"answer {out['answer']}")
-        if answer:
-            print(f"cost {cost}")
-    return EXIT_YES if answer else EXIT_NO
+    inst = _instance(args)
+    cost = oracle_best_cost(inst.g, inst.p, inst.mode)
+    yes = cost is not None and cost <= inst.k
+    return _report({"answer": "yes" if yes else "no",
+                    "cost": cost if yes else None}, args.format)
 
 
 def cmd_cuts(args) -> int:
     g = read_graph(args.graph)
-    if args.k < 0:
-        raise ValueError("k must be nonnegative")
     cap = args.cap if args.cap is not None else UNBOUNDED
     cuts = enumerate_k_cuts(g, args.k, cap)
     if cuts is None:
@@ -124,10 +118,6 @@ def cmd_cuts(args) -> int:
     return EXIT_YES
 
 
-def _load_witness_assignment(path: str) -> dict[int, bool]:
-    return parse_assignment(Path(path).read_text())
-
-
 def cmd_reduce_eth(args) -> int:
     phi = read_dimacs(args.cnf)
     art = build_eth(phi)
@@ -141,7 +131,7 @@ def cmd_reduce_eth(args) -> int:
            "clause_count": len(art.formula.clauses),
            "graph_file": graph_file, "sidecar_file": sidecar_file}
     if args.witness:
-        source = _load_witness_assignment(args.witness)
+        source = parse_assignment(Path(args.witness).read_text())
         full = extend_eth_assignment(art, source)
         clustering, edits, cost = eth_witness(art, full)
         out["witness"] = {"cost": cost, "verified": True,
@@ -165,7 +155,7 @@ def cmd_reduce_multivariate(args) -> int:
         write_graph(materialize_graph(art), graph_file)
         out["graph_file"] = graph_file
     if args.witness:
-        source = _load_witness_assignment(args.witness)
+        source = parse_assignment(Path(args.witness).read_text())
         full = extend_assignment(art.regularized, source)
         wit = multivariate_witness(art, full)
         sizes = set(wit.cluster_sizes.values())

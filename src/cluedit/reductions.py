@@ -345,7 +345,7 @@ def normalize_for_eth(f: CnfFormula) -> tuple[CnfFormula, tuple[Recipe, ...]]:
     """
     clauses: list[tuple[int, ...]] = []
     n = f.var_count
-    recipes: dict[int, Recipe] = {v: ("var", v, True) for v in range(1, n + 1)}
+    recipes: dict[int, Recipe] = {}     # fresh variables only
 
     def fresh(value: bool) -> int:
         nonlocal n
@@ -396,7 +396,7 @@ def normalize_for_eth(f: CnfFormula) -> tuple[CnfFormula, tuple[Recipe, ...]]:
     renum = {old: i for i, old in enumerate(used, start=1)}
     out_clauses = tuple(tuple((1 if l > 0 else -1) * renum[abs(l)] for l in c)
                         for c in clauses)
-    out_recipes = tuple(recipes[old] for old in used)
+    out_recipes = tuple(recipes.get(old, ("var", old, True)) for old in used)
     return CnfFormula(len(used), out_clauses), out_recipes
 
 

@@ -160,7 +160,7 @@ def _pass_clean(f: CnfFormula) -> tuple[list[list[int]], int, dict[int, Recipe],
                 recipes[pad] = ("const", True)
             out.append(list(c) + [pad])
             out.append(list(c) + [-pad])
-    for v in range(1, f.var_count + 1):
+    for v in {abs(lit) for c in out for lit in c}:
         recipes.setdefault(v, ("var", v, True))
     return out, n, recipes, "none"
 

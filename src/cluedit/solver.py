@@ -254,6 +254,9 @@ def solve_at_most_p(inst: Instance, cap: float | None = None) -> SolveResult:
 
 
 def _solve(inst: Instance, cap: float | None) -> SolveResult:
+    if cap is not None and cap < 1:
+        # checked before preprocessing, which can answer without enumerating
+        raise ValueError("cap must be >= 1")
     stats = SolveStats()
     outcome = preprocess(inst)
     stats.rules_applied = list(outcome.rules_applied)

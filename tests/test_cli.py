@@ -1,7 +1,9 @@
 """End-to-end command-line tests run through a real subprocess (except the
-internal-error test, which patches the solver in process)."""
+internal-error test, which patches the solver in process, and the pinned
+stdout digests, which call `cli.main` in process for speed)."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -125,6 +127,18 @@ def test_solve_cap_abort(graph_file):
     assert out["stats"]["aborted"] is True
 
 
+@pytest.mark.parametrize("g, p, cap", [
+    (PATH3, 5, 0),              # p > n: preprocessing rejects
+    (Graph.empty(2), 9, -3),    # Rule 1 answers before enumerating
+])
+def test_bad_cap_is_error_before_preprocessing(graph_file, g, p, cap):
+    res = run_cli("solve", graph_file(g), "--p", str(p), "--k", "1",
+                  "--cap", str(cap))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: cap must be >= 1")
+
+
 def test_oracle_matches_solver(graph_file):
     path = graph_file(TRIANGLE)
     for k, code in ((3, 0), (2, 1)):
@@ -133,6 +147,49 @@ def test_oracle_matches_solver(graph_file):
         assert a.returncode == b.returncode == code
         assert json.loads(a.stdout)["answer"] == json.loads(b.stdout)["answer"]
         assert json.loads(a.stdout)["cost"] == json.loads(b.stdout)["cost"]
+
+
+BRIDGED_TRIANGLES = Graph.from_edges(
+    6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+
+# YES and NO answers in both modes, with additions and deletions
+PINNED_CASES = [(PATH3, 2, 1), (PATH3, 2, 0), (PATH3, 1, 1), (TRIANGLE, 3, 3),
+                (TRIANGLE, 2, 1), (BRIDGED_TRIANGLES, 2, 1),
+                (BRIDGED_TRIANGLES, 1, 3), (BRIDGED_TRIANGLES, 3, 1)]
+EXACT_CODES = [0, 1, 0, 0, 1, 0, 1, 1]
+AT_MOST_CODES = [0, 1, 0, 0, 0, 0, 1, 0]
+# SHA-256 of the stdout of all PINNED_CASES in order
+PINNED_STDOUT = {
+    ("solve", "json", "exact"):
+        "e4f9cba6cae635affb14edd2718618bf555539ebbfa73f4b5677cd52a95a88d5",
+    ("solve", "json", "at-most"):
+        "81f0e9cb3818627871a08624e43fdba7eca5650892bf09228030d6cad40de785",
+    ("solve", "text", "exact"):
+        "e882cb52cac487e43f0b86a17a4d859295b6d6252b12a7cc713dc59b91ee9cc7",
+    ("solve", "text", "at-most"):
+        "e742e577acb217bf3cd73c694fb315545f7cd93ce5466c1beb124b351d68f699",
+    ("oracle", "json", "exact"):
+        "3977ed021fc26ac9e1b3ae69d6a9cd9e3f461ea3c07f545365421169f97d6424",
+    ("oracle", "json", "at-most"):
+        "4167c1c079cc4bd63b1833eb2a4193b35a0f625181d441641397027843829163",
+    ("oracle", "text", "exact"):
+        "682de4f2ae689251b41c4f676c267a21d22af6da436a46052e93d7f2bc5fc5ad",
+    ("oracle", "text", "at-most"):
+        "3ecf6f874ed5129b69edb26313039ee20c3aa139dc7a07b08e28920833d82cae",
+}
+
+
+@pytest.mark.parametrize("command, fmt, mode", sorted(PINNED_STDOUT))
+def test_solve_and_oracle_stdout_pinned(graph_file, capsys, command, fmt, mode):
+    digest = hashlib.sha256()
+    codes = []
+    for i, (g, p, k) in enumerate(PINNED_CASES):
+        codes.append(cli.main([command, graph_file(g, f"{i}.g"),
+                               "--p", str(p), "--k", str(k),
+                               "--mode", mode, "--format", fmt]))
+        digest.update(capsys.readouterr().out.encode())
+    assert codes == (EXACT_CODES if mode == "exact" else AT_MOST_CODES)
+    assert digest.hexdigest() == PINNED_STDOUT[command, fmt, mode]
 
 
 def test_oracle_size_limit(graph_file):

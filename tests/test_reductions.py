@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from cluedit.reductions import (
     witness_clustering,
     write_sidecar,
 )
-from cluedit.regularize import extend_assignment
+from cluedit.regularize import extend_assignment, regularize
 
 XYZ = CnfFormula(3, ((1, 2, 3),))
 UNSAT_PAIR = CnfFormula(1, ((1,), (-1,)))
@@ -108,6 +109,22 @@ def test_extend_eth_assignment_respects_recipes():
     assert {v: full[v] for v in (1, 2, 3)} == source
     assert set(full) == set(range(1, art.formula.var_count + 1))
     assert falsified_clause(art.formula, full) is None
+
+
+def test_header_variable_count_does_not_drive_memory():
+    # a DIMACS header may declare far more variables than occur; recipes are
+    # built only for those that do, and the outputs match the small header
+    wide = CnfFormula(10 ** 6, XYZ.clauses)
+    for build in (build_eth, lambda phi: regularize(phi, 1)):
+        tracemalloc.start()
+        try:
+            art = build(wide)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+        small = build(XYZ)
+        assert (art.formula, art.recipes) == (small.formula, small.recipes)
 
 
 def test_extend_eth_assignment_missing_source_var():
