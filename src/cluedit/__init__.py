@@ -6,9 +6,7 @@ cuts the algorithm branches over, preprocess instances with safe reduction
 rules, cross-check everything against brute force, and generate SAT-based
 hardness instances with exact-budget witnesses.
 """
-from .bruteforce import (ORACLE_LIMIT, oracle_best_cost,
-                         oracle_cost_by_block_count,
-                         oracle_min_edges_cluster_graph, set_partitions)
+from .bruteforce import ORACLE_LIMIT, oracle_best_cost, oracle_cost_by_block_count
 from .cnf import (CnfFormula, brute_force_sat, format_dimacs, parse_assignment,
                   parse_dimacs, read_dimacs, satisfies)
 from .cuts import (UNBOUNDED, CutIndex, binomial_bound_check, cut_count_bound,

@@ -7,47 +7,9 @@ past 10^9 partitions.
 """
 from __future__ import annotations
 
-from math import comb
-from typing import Iterator
-
-from .graph import Clustering, Graph
+from .graph import Graph
 
 ORACLE_LIMIT = 14
-
-
-def set_partitions(n: int, max_blocks: int | None = None,
-                   exact_blocks: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Set partitions of 0..n-1 as restricted growth strings.
-
-    A restricted growth string assigns each element a block id such that
-    block ids appear in first-use order, so each partition is produced
-    exactly once and the output doubles as a dense Clustering assignment.
-    ``exact_blocks`` prunes branches that cannot end with that many blocks.
-    """
-    if exact_blocks is not None and max_blocks is not None:
-        raise ValueError("give at most one of max_blocks / exact_blocks")
-    cap = exact_blocks if exact_blocks is not None else max_blocks
-    if n == 0:
-        if exact_blocks in (None, 0):
-            yield ()
-        return
-    if cap is not None and cap <= 0:
-        return
-    a = [0] * n
-
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            if exact_blocks is None or used == exact_blocks:
-                yield tuple(a)
-            return
-        if exact_blocks is not None and used + (n - i) < exact_blocks:
-            return  # cannot open enough blocks with the elements left
-        top = used + 1 if cap is None else min(used + 1, cap)
-        for b in range(top):
-            a[i] = b
-            yield from rec(i + 1, max(used, b + 1))
-
-    yield from rec(0, 0)
 
 
 def _partition_cost_min(g: Graph, p: int, exact: bool) -> int | None:
@@ -111,33 +73,3 @@ def oracle_cost_by_block_count(g: Graph) -> list[int | None]:
     block count of the same graph.
     """
     return [oracle_best_cost(g, c) for c in range(g.n + 1)]
-
-
-def clustering_from_rgs(rgs: tuple[int, ...]) -> Clustering:
-    return Clustering(rgs, max(rgs) + 1 if rgs else 0)
-
-
-def oracle_min_edges_cluster_graph(total: int, max_clusters: int) -> int:
-    """Fewest edges of any cluster graph on *total* vertices with at most
-    *max_clusters* cliques, by brute force over integer partitions."""
-    if total < 0 or max_clusters < 1:
-        raise ValueError("need total >= 0 and max_clusters >= 1")
-    if total == 0:
-        return 0
-    best: int | None = None
-
-    def rec(remaining: int, parts_left: int, largest: int, acc: int) -> None:
-        nonlocal best
-        if remaining == 0:
-            if best is None or acc < best:
-                best = acc
-            return
-        if parts_left == 0:
-            return
-        for size in range(1, min(remaining, largest) + 1):
-            rec(remaining - size, parts_left - 1, size,
-                acc + comb(size, 2))
-
-    rec(total, max_clusters, total, 0)
-    assert best is not None  # parts of size 1 always complete a partition
-    return best

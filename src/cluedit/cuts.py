@@ -102,13 +102,11 @@ class CutIndex:
     """All k-cuts of a graph, in a deterministic order.
 
     ``masks[i]`` is side-1 of the i-th cut as a vertex mask and
-    ``crossing[i]`` its crossing count.  The list is sorted by side-1 size,
-    ties in branching order (see ``enumerate_k_cuts``), which is the order
-    the solver's reconstruction tie-break refers to.
+    ``crossing[i]`` its crossing count.  The list is sorted by side-1
+    size, then by mask value, so the order is a property of the cut set
+    alone; the solver's reconstruction tie-break refers to it.
     """
 
-    n: int
-    k: int
     masks: list[int]
     crossing: list[int]
     stats: EnumStats = field(default_factory=EnumStats)
@@ -120,69 +118,60 @@ class CutIndex:
 def enumerate_k_cuts(g: Graph, k: int, cap: float = UNBOUNDED) -> CutIndex | None:
     """Enumerate every ordered k-cut of g exactly once, or abort.
 
-    Returns None when there are more than *cap* cuts.  The order is that
-    of a branching over the vertices in descending-degree order (ties by
-    id), side 1 before side 2 at each vertex, stably sorted by side-1
-    size.  Up to ``_FILTER_N`` vertices nothing branches: every mask is
-    scored against ``m - e(S) - e(V - S) <= k`` and the survivors are
-    sorted into that order.  Beyond, the branching runs on an explicit stack
-    and keeps a child only if ``min_cut_leq`` finds a completion within k.
+    Returns None when there are more than *cap* cuts.  The cuts come
+    sorted by (side-1 size, side-1 mask), whichever route finds them.  Up
+    to ``_FILTER_N`` vertices nothing branches: every mask is scored
+    against ``m - e(S) - e(V - S) <= k``.  Beyond, a branching over the
+    vertices in descending-degree order (ties by id) runs on an explicit
+    stack and keeps a child only if ``min_cut_leq`` finds a completion
+    within k.  The degree order only steers the pruning: high-degree
+    vertices placed first make the flow test bite early.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if cap != UNBOUNDED and cap < 1:
         raise ValueError("cap must be >= 1")
     n = g.n
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     stats = EnumStats()
     if n <= _FILTER_N:
         inside = edges_inside_table(g)
         crossing = g.m - inside - inside[::-1]
-        masks = np.flatnonzero(crossing <= k)
+        masks = np.flatnonzero(crossing <= k)  # ascending
         if masks.size > cap:
             return None
-        # bit n-1-d is set when order[d] is on side 2, so side 1 sorts first
-        branch_key = np.zeros_like(masks)
-        for d, v in enumerate(order):
-            branch_key |= (~masks >> v & 1) << (n - 1 - d)
-        masks = masks[np.lexsort((branch_key, np.bitwise_count(masks)))]
+        masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
         stats.explored = 1 << n
         stats.emitted = masks.size
         stats.pruned = stats.explored - stats.emitted
-        return CutIndex(n=n, k=k, masks=masks.tolist(),
-                        crossing=crossing[masks].tolist(), stats=stats)
+        return CutIndex(masks=masks.tolist(), crossing=crossing[masks].tolist(),
+                        stats=stats)
 
     rows = g.rows
-    out_masks: list[int] = []
-    out_cross: list[int] = []
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    found: list[tuple[int, int]] = []  # (side 1, crossing)
     stack = [(0, 0, 0, 0)]  # depth, side 1, side 2, crossing so far
     while stack:
         depth, side1, side2, crossing = stack.pop()
         if depth == n:
-            out_masks.append(side1)
-            out_cross.append(crossing)
-            if len(out_masks) > cap:
+            found.append((side1, crossing))
+            if len(found) > cap:
                 return None
             continue
         v = order[depth]
         bit = 1 << v
-        kept = []
+        height = len(stack)
         for s1, s2, extra in ((side1 | bit, side2, (rows[v] & side2).bit_count()),
                               (side1, side2 | bit, (rows[v] & side1).bit_count())):
             stats.explored += 1
             if crossing + extra > k or not min_cut_leq(g, s1, s2, k):
                 stats.pruned += 1
             else:
-                kept.append((depth + 1, s1, s2, crossing + extra))
-        if not kept:
+                stack.append((depth + 1, s1, s2, crossing + extra))
+        if len(stack) == height:
             stats.dead_ends += 1
-        stack.extend(reversed(kept))  # side-1 child on top: it is emitted first
-    stats.emitted = len(out_masks)
-    pairs = sorted(range(len(out_masks)),
-                   key=lambda i: out_masks[i].bit_count())
-    return CutIndex(n=n, k=k,
-                    masks=[out_masks[i] for i in pairs],
-                    crossing=[out_cross[i] for i in pairs],
+    stats.emitted = len(found)
+    found.sort(key=lambda c: (c[0].bit_count(), c[0]))
+    return CutIndex(masks=[m for m, _ in found], crossing=[c for _, c in found],
                     stats=stats)
 
 

@@ -30,8 +30,9 @@ percent of cut pairs are nested, so the DP keeps just those arcs and
 relaxes its p layers over that list.
 
 Tie-break.  Among the minimum-cost predecessors of a cut in a layer, the
-one with the smallest index in the cut list wins; cut indices follow
-`CutIndex` order (side-1 size, then discovery order).
+one with the smallest index in the cut list wins.  Cut indices follow
+`CutIndex` order, side-1 size and then mask value, so the returned
+optimum depends only on the cut set, not on how it was enumerated.
 """
 from __future__ import annotations
 
@@ -165,7 +166,8 @@ def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
     targets = dst[heads]
     best = np.full((p + 1, ncuts), _BIG, dtype=np.int64)
     pred = np.full((p + 1, ncuts), -1, dtype=np.int64)
-    best[0, masks.index(0)] = 0
+    # CutIndex order puts the cut (empty, V) first and (V, empty) last
+    best[0, 0] = 0
     for layer in range(p):
         if not len(src) or best[layer].min() > k:
             break
@@ -176,7 +178,7 @@ def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
         best[layer + 1, targets[hit]] = key[hit] // ncuts
         pred[layer + 1, targets[hit]] = key[hit] % ncuts
     stats.dp_states = int((best <= k).sum())
-    pos_full = masks.index((1 << n) - 1)
+    pos_full = ncuts - 1
     # argmin takes the first, so the fewest clusters among the cheapest
     last = int(best[:, pos_full].argmin()) if at_most else p
     if best[last, pos_full] > k:

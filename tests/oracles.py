@@ -48,17 +48,6 @@ def partitions(items):
         yield [[head]] + part
 
 
-def bell_number(n: int) -> int:
-    """Bell numbers via the Bell triangle."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
-
-
 def editing_cost(n, edges, blocks) -> int:
     """Edits turning (n, edges) into the cluster graph with these blocks."""
     block_of = {}

@@ -1,55 +1,20 @@
-"""Partition enumeration and the exhaustive cluster-editing oracle."""
+"""The exhaustive cluster-editing oracle."""
 from __future__ import annotations
 
 import itertools
 import random
-from math import comb
 
 import pytest
 
 import oracles
 from cluedit import (Graph, ORACLE_LIMIT, oracle_best_cost,
-                     oracle_cost_by_block_count,
-                     oracle_min_edges_cluster_graph, set_partitions)
-from cluedit.bruteforce import clustering_from_rgs
+                     oracle_cost_by_block_count)
 
 
 def all_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for select in range(1 << len(pairs)):
         yield [pairs[i] for i in range(len(pairs)) if select >> i & 1]
-
-
-def test_set_partitions_counts_are_bell_numbers():
-    for n in range(8):
-        assert sum(1 for _ in set_partitions(n)) == oracles.bell_number(n)
-
-
-def test_set_partitions_are_restricted_growth_strings():
-    for rgs in set_partitions(5):
-        seen = 0
-        for b in rgs:
-            assert b <= seen
-            seen = max(seen, b + 1)
-    # no duplicates
-    all_parts = list(set_partitions(5))
-    assert len(all_parts) == len(set(all_parts))
-
-
-def test_set_partitions_block_filters():
-    assert sum(1 for _ in set_partitions(4, max_blocks=2)) == 8
-    assert sum(1 for _ in set_partitions(4, exact_blocks=2)) == 7
-    assert list(set_partitions(0)) == [()]
-    assert list(set_partitions(0, exact_blocks=1)) == []
-    assert list(set_partitions(3, max_blocks=0)) == []
-    with pytest.raises(ValueError):
-        list(set_partitions(3, max_blocks=1, exact_blocks=1))
-
-
-def test_clustering_from_rgs():
-    cl = clustering_from_rgs((0, 1, 0, 2))
-    assert cl.c == 3 and cl.assignment == (0, 1, 0, 2)
-    assert clustering_from_rgs(()).c == 0
 
 
 def test_oracle_matches_reference_exhaustively():
@@ -112,30 +77,3 @@ def test_oracle_guards():
         oracle_cost_by_block_count(big)
     with pytest.raises(ValueError, match="mode"):
         oracle_best_cost(Graph.empty(2), 1, "approx")
-
-
-def test_min_edges_cluster_graph():
-    assert oracle_min_edges_cluster_graph(6, 2) == 6
-    assert oracle_min_edges_cluster_graph(5, 2) == 4
-    assert oracle_min_edges_cluster_graph(4, 1) == 6
-    assert oracle_min_edges_cluster_graph(5, 5) == 0
-    assert oracle_min_edges_cluster_graph(0, 3) == 0
-    with pytest.raises(ValueError):
-        oracle_min_edges_cluster_graph(3, 0)
-
-
-def test_min_edges_cluster_graph_against_closed_form():
-    # sum of C(s_i, 2) is convex in the sizes, so the minimum over at most
-    # c parts is attained by c near-equal parts -- a closed form the
-    # brute-force search must reproduce
-    def reference(total, maxc):
-        if total == 0:
-            return 0
-        c = min(maxc, total)
-        q, r = divmod(total, c)
-        return r * comb(q + 1, 2) + (c - r) * comb(q, 2)
-
-    for total in range(12):
-        for maxc in range(1, total + 2):
-            assert (oracle_min_edges_cluster_graph(total, maxc)
-                    == reference(total, maxc))

@@ -207,6 +207,12 @@ def test_cuts_stream(graph_file):
     res = run_cli("cuts", graph_file(TRIANGLE), "--k", "1")
     assert res.returncode == 0
     assert res.stdout.splitlines() == ["000 0", "111 0"]
+    # one edge {1, 3}: every mask is a 1-cut, listed by (side-1 size, mask)
+    one_edge = Graph.from_edges(3, [(0, 2)])
+    res = run_cli("cuts", graph_file(one_edge), "--k", "1")
+    assert res.returncode == 0
+    assert res.stdout.splitlines() == ["000 0", "100 1", "010 0", "001 1",
+                                       "110 1", "101 0", "011 1", "111 0"]
 
 
 def test_cuts_count_only_with_bound(graph_file):

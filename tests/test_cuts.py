@@ -100,17 +100,24 @@ def test_triangle_frozen_counts():
     assert len(enumerate_k_cuts(triangle(), 3)) == 8
 
 
-def test_output_order_and_determinism():
-    rng = random.Random(47)
-    for _ in range(10):
-        n = rng.randint(2, 7)
-        g = Graph.from_edges(n, oracles.random_edges(rng, n, 0.5))
-        k = rng.randint(1, 4)
-        a = enumerate_k_cuts(g, k)
-        b = enumerate_k_cuts(g, k)
-        assert a.masks == b.masks and a.crossing == b.crossing
-        sizes = [m.bit_count() for m in a.masks]
-        assert sizes == sorted(sizes)
+def test_output_order_and_determinism(monkeypatch):
+    # both routes list the cuts by (side-1 size, mask), so the order is a
+    # property of the cut set and not of how the search found it
+    for filter_n in (cuts._FILTER_N, -1):
+        monkeypatch.setattr(cuts, "_FILTER_N", filter_n)
+        rng = random.Random(47)
+        for _ in range(10):
+            n = rng.randint(2, 7)
+            edges = oracles.random_edges(rng, n, 0.5)
+            g = Graph.from_edges(n, edges)
+            k = rng.randint(1, 4)
+            a = enumerate_k_cuts(g, k)
+            b = enumerate_k_cuts(g, k)
+            assert a.masks == b.masks and a.crossing == b.crossing
+            assert a.masks == sorted(a.masks,
+                                     key=lambda m: (m.bit_count(), m))
+            brute = dict(oracles.ordered_cuts(n, edges, k))
+            assert a.crossing == [brute[m] for m in a.masks]
 
 
 def test_cap_abort_and_argument_guards():
