@@ -8,9 +8,10 @@ its `ValueError` into exit 2.
 
 Exit codes: 0 for YES (or generator success), 1 for a proven NO,
 2 for usage or input errors and for internal failures (any other
-exception, such as a certificate that fails self-verification).  Reports
-go to stdout as JSON with a `schema` field; wall time goes to stderr so
-stdout stays deterministic.
+exception, such as a certificate that fails self-verification), 3 for
+unknown: `solve` gave up under a `--cap` below the counting bound, where
+an abort proves nothing.  Reports go to stdout as JSON with a `schema`
+field; wall time goes to stderr so stdout stays deterministic.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from .solver import result_to_dict, solve_at_most_p, solve_exact_p
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
+EXIT_UNKNOWN = 3
 
 
 def _emit(obj: dict) -> None:
@@ -66,11 +68,12 @@ def _instance(args) -> Instance:
 
 def _report(res_dict: dict, fmt: str) -> int:
     """Print a solve or oracle report; an oracle report has no edits."""
-    yes = res_dict["answer"] == "yes"
+    answer = res_dict["answer"]
+    yes = answer == "yes"
     if fmt == "json":
         _emit(res_dict)
     else:
-        print(f"answer {res_dict['answer']}")
+        print(f"answer {answer}")
         if yes:
             print(f"cost {res_dict['cost']}")
             for i, cluster in enumerate(res_dict.get("clusters", ()), start=1):
@@ -78,7 +81,7 @@ def _report(res_dict: dict, fmt: str) -> int:
             for tag in ("additions", "deletions"):
                 for u, v in res_dict.get(tag, ()):
                     print(f"{tag[:-1]} {u} {v}")
-    return EXIT_YES if yes else EXIT_NO
+    return {"yes": EXIT_YES, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}[answer]
 
 
 def cmd_solve(args) -> int:
@@ -177,7 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="run the exact solver")
     _solve_args(sp)
     sp.add_argument("--cap", type=int, default=None,
-                    help="override the cut enumeration cap")
+                    help="override the cut enumeration cap; an abort under "
+                         "a cap below the counting bound answers unknown "
+                         "(exit 3)")
     sp.add_argument("--threads", type=int, default=1,
                     help="accepted for interface stability; the layer "
                          "relaxation is single-threaded and output does not "

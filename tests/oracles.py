@@ -232,6 +232,37 @@ def min_cut(n, edges, s_mask: int, t_mask: int) -> int:
     return best
 
 
+def cheap_arcs(g: Graph, masks, k: int):
+    """The DP's arc list by enumeration: every pair i -> j of *masks* with
+    S_i a proper subset of S_j and arc cost <= k, as int64 arrays
+    (src, dst, cost) ordered by dst, then src.
+
+    The cost is counted on the edge list: growing S_i to S_j keeps the
+    e(S_j) - e(S_i) - e(Delta) edges between S_i and Delta = S_j - S_i,
+    which the arc deletes, and adds the C(|Delta|, 2) - e(Delta) missing
+    pairs inside Delta.
+    """
+    edges = list(g.edges())
+
+    def inside(mask):
+        return sum(mask >> u & 1 and mask >> v & 1 for u, v in edges)
+
+    e = [inside(m) for m in masks]
+    src, dst, cost = [], [], []
+    for j, mj in enumerate(masks):
+        for i, mi in enumerate(masks):
+            if mi == mj or mi & ~mj:
+                continue
+            delta = mj & ~mi
+            c = (e[j] - e[i] - 2 * inside(delta)
+                 + math.comb(delta.bit_count(), 2))
+            if c <= k:
+                src.append(i)
+                dst.append(j)
+                cost.append(c)
+    return tuple(np.array(a, dtype=np.int64) for a in (src, dst, cost))
+
+
 def min_cut_leq_dict(g: Graph, a: int, b: int, k: int) -> bool:
     """True iff the minimum edge cut separating vertex sets a and b is <= k.
 

@@ -119,12 +119,18 @@ def test_solve_two_bridged_cliques(graph_file):
 
 
 def test_solve_cap_abort(graph_file):
-    res = run_cli("solve", graph_file(PATH3), "--p", "2", "--k", "1",
-                  "--cap", "1")
-    assert res.returncode == 1
+    # a YES at cost 1: giving up under a cap below the counting bound
+    # proves nothing, so the answer is unknown with its own exit code
+    argv = ("solve", graph_file(PATH3), "--p", "2", "--k", "1", "--cap", "1")
+    res = run_cli(*argv)
+    assert res.returncode == 3
     out = json.loads(res.stdout)
-    assert out["answer"] == "no"
+    assert out["answer"] == "unknown"
+    assert out["cost"] is None and out["clusters"] == []
     assert out["stats"]["aborted"] is True
+    res = run_cli(*argv, "--format", "text")
+    assert res.returncode == 3
+    assert res.stdout == "answer unknown\n"
 
 
 @pytest.mark.parametrize("g, p, cap", [

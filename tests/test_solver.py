@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -156,12 +157,22 @@ def test_mode_mismatch_raises():
         solve_exact_p(Instance(path(3), 2, 1, "at_most"))
 
 
-def test_cap_override_aborts():
+def test_cap_override_aborts(monkeypatch):
+    # a YES instance: an abort under a cap below the counting bound is
+    # unknown, not NO
     res = solve_exact_p(Instance(path(4), 2, 2, "exact"), cap=1)
-    assert not res.answer and res.stats.aborted
+    assert res.answer is None and res.stats.aborted
+    assert result_to_dict(res, path(4))["answer"] == "unknown"
     # generous cap restores the answer
     res2 = solve_exact_p(Instance(path(4), 2, 2, "exact"), cap=10 ** 6)
     assert res2.answer and not res2.stats.aborted
+    # more cuts than the counting bound allows is a proven NO, also under
+    # a user cap at or above the bound
+    monkeypatch.setattr(solver, "cut_count_bound", lambda p, k: 1)
+    for cap in (None, 1, 2):
+        res3 = solve_exact_p(Instance(path(4), 2, 2, "exact"), cap=cap)
+        assert res3.answer is False and res3.stats.aborted
+        assert result_to_dict(res3, path(4))["answer"] == "no"
 
 
 def test_python_dp_route_on_wide_graphs():
@@ -177,7 +188,8 @@ def test_python_dp_route_on_wide_graphs():
 def _dp_cases(rng):
     """(graph, k, cluster counts): dense random graphs, planted
     clusterings for every n from 0 to 24, equal cliques (many cuts of one
-    size), and a chain of five 14-cliques (n = 70, past one 64-bit word)."""
+    size), a chain of five 14-cliques (n = 70, past one 64-bit word) and a
+    budget under which every mask is a cut."""
     for _ in range(20):
         n = rng.randint(2, 7)
         g = Graph.from_edges(n, oracles.random_edges(rng, n, 0.5))
@@ -193,22 +205,33 @@ def _dp_cases(rng):
     joins = [(14 * i + 13, 14 * i + 14) for i in range(4)]
     yield (Graph.from_edges(70, oracles.blocks_to_edges(cliques) + joins), 4,
            {4, 5, 6})
+    # k >= C(n, 2): every mask is a cut, so every size class is full
+    g = Graph.from_edges(7, oracles.random_edges(rng, 7, 0.5))
+    yield g, 21, {1, 3, 7}
 
 
 def test_dp_backends_agree(monkeypatch):
-    # the arc DP must reproduce the reference chain (hence its tie-break)
-    # and state count, whatever the block size: one target per block, at
-    # least three, or the default
+    # the arc list must equal the enumerated one array for array, and the
+    # arc DP must reproduce the reference chain (hence its tie-break) and
+    # state count, whatever the block size: one target per block, at least
+    # three, or the default
     rng = random.Random(89)
     for g, k, counts in _dp_cases(rng):
         cuts = enumerate_k_cuts(g, k)
-        for p in sorted(counts):
+        want_arcs = oracles.cheap_arcs(g, cuts.masks, k)
+        want = {}
+        for p in counts:
             want_stats = SolveStats()
-            want = _dp_python(g, cuts, p, k, want_stats)
-            for block in (1, 3 * len(cuts) * (g.n + 3), solver._ARC_BLOCK):
-                monkeypatch.setattr(solver, "_ARC_BLOCK", block)
+            want[p] = _dp_python(g, cuts, p, k, want_stats), want_stats
+        for block in (1, 3 * len(cuts) * (g.n + 3), solver._ARC_BLOCK):
+            monkeypatch.setattr(solver, "_ARC_BLOCK", block)
+            arcs = solver._cheap_arcs(g, cuts.masks, min(k, g.n * g.n))
+            for got, expect in zip(arcs, want_arcs, strict=True):
+                assert got.dtype == expect.dtype
+                assert np.array_equal(got, expect)
+            for p, (chain, want_stats) in want.items():
                 stats = SolveStats()
-                assert _dp_numpy(g, cuts, p, k, stats) == want
+                assert _dp_numpy(g, cuts, p, k, stats) == chain
                 assert stats.dp_states == want_stats.dp_states
 
 
