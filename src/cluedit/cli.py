@@ -10,8 +10,9 @@ Exit codes: 0 for YES (or generator success), 1 for a proven NO,
 2 for usage or input errors and for internal failures (any other
 exception, such as a certificate that fails self-verification), 3 for
 unknown: `solve` gave up under a `--cap` below the counting bound, where
-an abort proves nothing.  Reports go to stdout as JSON with a `schema`
-field; wall time goes to stderr so stdout stays deterministic.
+an abort proves nothing, or `cuts` stopped listing at its `--cap`.
+Reports go to stdout as JSON with a `schema` field; wall time goes to
+stderr so stdout stays deterministic.
 """
 from __future__ import annotations
 
@@ -106,7 +107,7 @@ def cmd_cuts(args) -> int:
     if cuts is None:
         print(f"error: enumeration aborted, more than {args.cap} cuts",
               file=sys.stderr)
-        return EXIT_NO
+        return EXIT_UNKNOWN
     if args.count_only:
         out: dict = {"count": len(cuts)}
         if args.p is not None:
@@ -196,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cuts", help="enumerate k-cuts")
     sp.add_argument("graph")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--cap", type=int, default=None,
+                    help="stop once more than this many cuts appear "
+                         "(exit 3, nothing printed)")
     sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--p", type=int, default=None,
                     help="compare the count against the p,k cut bound")

@@ -11,6 +11,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import oracles
 from conftest import criterion, criterion_note, run_cli
@@ -19,7 +20,7 @@ from test_regularize import pushforward_checks, scan_invariants
 
 from cluedit.bruteforce import oracle_best_cost, oracle_cost_by_block_count
 from cluedit.cnf import CnfFormula, falsified_clause, format_dimacs
-from cluedit.cuts import binomial_bound_check, enumerate_k_cuts
+from cluedit.cuts import enumerate_k_cuts
 from cluedit.graph import (Graph, apply_edits, cluster_graph_of, edit_distance,
                            format_graph)
 from cluedit.preprocess import Instance, preprocess
@@ -234,7 +235,9 @@ def test_criterion_2_preprocess_equivalence():
 @criterion(3, "cut counts stay under the square-root bounds")
 def test_criterion_3_cut_bounds():
     t0 = time.perf_counter()
-    assert binomial_bound_check(30)
+    for a in range(31):
+        for b in range(31):
+            assert oracles.leq_pow2_sqrt(comb(a + b, a), 2, a * b), (a, b)
     rng = random.Random(303)
     for _ in range(100):                      # exact cluster graphs
         k = rng.randint(1, 4)

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
-from conftest import run_cli
+from conftest import package_env, run_cli
 
 from cluedit import cli, solver
 from cluedit.cnf import CnfFormula, format_dimacs
@@ -198,6 +200,24 @@ def test_solve_and_oracle_stdout_pinned(graph_file, capsys, command, fmt, mode):
     assert digest.hexdigest() == PINNED_STDOUT[command, fmt, mode]
 
 
+def test_runtime_does_not_import_mpmath(graph_file):
+    # mpmath is a test dependency only: a solve and a cut count checked
+    # against the counting bound run on the standard library and numpy
+    path = graph_file(BRIDGED_TRIANGLES)
+    script = f"""
+import sys
+import cluedit
+from cluedit import cli
+assert cli.main(["solve", {path!r}, "--p", "2", "--k", "1"]) == 0
+assert cli.main(["cuts", {path!r}, "--k", "1", "--count-only", "--p", "2"]) == 0
+assert "mpmath" not in sys.modules, "mpmath was imported"
+"""
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=package_env(), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert '"within_bound": true' in res.stdout
+
+
 def test_oracle_size_limit(graph_file):
     big = Graph.from_edges(15, [(0, 1)])
     res = run_cli("oracle", graph_file(big), "--p", "2", "--k", "1")
@@ -250,8 +270,9 @@ def test_cuts_on_a_long_path(graph_file):
 
 
 def test_cuts_cap_abort(graph_file):
+    # a cut listing has no NO to prove, so the abort is unknown, not exit 1
     res = run_cli("cuts", graph_file(TRIANGLE), "--k", "2", "--cap", "1")
-    assert res.returncode == 1
+    assert res.returncode == 3
     assert res.stdout == ""
     assert "enumeration aborted, more than 1 cuts" in res.stderr
 

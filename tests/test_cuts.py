@@ -9,8 +9,8 @@ import mpmath
 import pytest
 
 import oracles
-from cluedit import (Graph, UNBOUNDED, binomial_bound_check, cut_count_bound,
-                     edges_inside_table, enumerate_k_cuts, min_cut_leq)
+from cluedit import (Graph, UNBOUNDED, cut_count_bound, edges_inside_table,
+                     enumerate_k_cuts, min_cut_leq)
 from cluedit import cuts
 from cluedit.graph import mask_of
 
@@ -217,14 +217,23 @@ def test_cut_count_bound_frozen_values():
 
 
 def test_cut_count_bound_against_high_precision():
+    # p = 1, k = 0..32 runs t = 2pk over all 32 finite values (t = 0..62)
+    # and reaches the first UNBOUNDED one at t = 64
+    grid = {(p, k) for p in range(5) for k in range(5)}
+    grid |= {(1, k) for k in range(33)}
+    finite = set()
     with mpmath.workdps(80):
-        for p in range(5):
-            for k in range(5):
-                expect = int(mpmath.ceil(mpmath.power(
-                    2, 8 * mpmath.sqrt(2 * p * k))))
-                got = cut_count_bound(p, k)
-                if got != UNBOUNDED:
-                    assert got == expect
+        for p, k in sorted(grid):
+            got = cut_count_bound(p, k)
+            exponent = 8 * mpmath.sqrt(2 * p * k)
+            if exponent > 63:
+                assert got == UNBOUNDED, (p, k)
+                continue
+            expect = int(mpmath.ceil(mpmath.power(2, exponent)))
+            assert type(got) is int and got == expect, (p, k)
+            finite.add(got)
+    assert len(finite) == 32
+    assert cut_count_bound(1, 32) == UNBOUNDED
 
 
 def test_cut_count_bound_monotone():
@@ -234,7 +243,3 @@ def test_cut_count_bound_monotone():
             assert cut_count_bound(p, k) <= cut_count_bound(p + 1, k)
             assert cut_count_bound(p, k) <= cut_count_bound(p, k + 1)
     assert grid  # silence unused warnings
-
-
-def test_binomial_bound_check_small():
-    assert binomial_bound_check(8)
