@@ -7,13 +7,10 @@ cross-checks the count against a power-set filter, and prints the
 2^(8*sqrt(2pk)) counting bound the enumeration is promised to respect,
 including the saturation sentinel once the exponent leaves 63 bits.
 """
-import itertools
-
 from cluedit import Graph, UNBOUNDED, cut_count_bound, enumerate_k_cuts
 
 
 def brute_cut_count(g: Graph, k: int) -> int:
-    full = (1 << g.n) - 1
     count = 0
     for mask in range(1 << g.n):
         crossing = sum(1 for u, v in g.edges()

@@ -8,8 +8,8 @@ the largest clique or an isolated vertex while decrementing p, until
 p <= 6k.  The demo narrates each firing, solves the reduced instance,
 and lifts the certificate back to the original vertex ids.
 """
-from cluedit import (Graph, Instance, lift_clustering, lift_edits, preprocess,
-                     solve_exact_p, verify_solution)
+from cluedit import (Graph, Instance, clustering_to_edit_set, lift_clustering,
+                     preprocess, solve_exact_p, verify_solution)
 
 
 def clique_union(sizes, iso):
@@ -40,7 +40,7 @@ def main():
           f"cost={res.solution.cost}")
 
     lifted_cl = lift_clustering(out, res.solution.clustering, g.n)
-    lifted_ed = lift_edits(out, res.solution.edits)
+    lifted_ed = clustering_to_edit_set(g, lifted_cl)
     print(f"lifted back: {lifted_cl.c} clusters on the original graph, "
           f"{len(lifted_ed)} edits")
 

@@ -6,7 +6,7 @@ cuts the algorithm branches over, preprocess instances with safe reduction
 rules, cross-check everything against brute force, and generate SAT-based
 hardness instances with exact-budget witnesses.
 """
-from .bruteforce import ORACLE_LIMIT, oracle_best_cost, oracle_cost_by_block_count
+from .bruteforce import ORACLE_LIMIT, oracle_best_cost
 from .cnf import (CnfFormula, brute_force_sat, format_dimacs, parse_assignment,
                   parse_dimacs, read_dimacs, satisfies)
 from .cuts import (UNBOUNDED, CutIndex, cut_count_bound, edges_inside_table,
@@ -16,8 +16,7 @@ from .graph import (Clustering, EditSet, Graph, apply_edits,
                     connected_components, edit_distance, format_graph,
                     induced_subgraph, is_cluster_graph, parse_graph,
                     read_graph, write_graph)
-from .preprocess import (Instance, PreprocessOutcome, lift_clustering,
-                         lift_edits, preprocess)
+from .preprocess import Instance, PreprocessOutcome, lift_clustering, preprocess
 from .reductions import (CliqueArtifact, CliqueWitness, DegreeArtifact,
                          attachment_counts, budget_summands, build_eth,
                          build_multivariate, eth_witness,
@@ -25,8 +24,8 @@ from .reductions import (CliqueArtifact, CliqueWitness, DegreeArtifact,
                          multivariate_witness, normalize_for_eth,
                          sidecar_dict, witness_clustering, write_sidecar)
 from .regularize import RegularizedFormula, extend_assignment, regularize
-from .solver import (Solution, SolveResult, SolveStats, arc_cost,
-                     solve_at_most_p, solve_exact_p, verify_solution)
+from .solver import (Solution, SolveResult, SolveStats, solve_at_most_p,
+                     solve_exact_p, verify_solution)
 
 __version__ = "0.1.0"
 

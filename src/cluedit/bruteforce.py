@@ -65,11 +65,3 @@ def oracle_best_cost(g: Graph, p: int, mode: str = "exact") -> int | None:
         raise ValueError(f"unknown mode {mode!r}")
     return _partition_cost_min(g, p, exact=(mode == "exact"))
 
-
-def oracle_cost_by_block_count(g: Graph) -> list[int | None]:
-    """best[c] = optimal cost with exactly c clusters, for c in 0..n.
-
-    One exact-mode search per block count; used where a caller needs every
-    block count of the same graph.
-    """
-    return [oracle_best_cost(g, c) for c in range(g.n + 1)]

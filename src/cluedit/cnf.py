@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 BRUTE_SAT_LIMIT = 20
 
@@ -23,14 +22,6 @@ class CnfFormula:
             for lit in cl:
                 if lit == 0 or not (1 <= abs(lit) <= self.var_count):
                     raise ValueError(f"literal {lit} out of range")
-
-    @staticmethod
-    def from_clauses(clauses: Iterable[Iterable[int]],
-                     var_count: int | None = None) -> "CnfFormula":
-        cls = tuple(tuple(c) for c in clauses)
-        if var_count is None:
-            var_count = max((abs(l) for c in cls for l in c), default=0)
-        return CnfFormula(var_count, cls)
 
 
 def satisfies(f: CnfFormula, assignment: dict[int, bool]) -> bool:

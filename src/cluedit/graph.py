@@ -9,6 +9,8 @@ iterates and ``m`` is a stored count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 # each header vertex costs a row before any edge is read, so a larger header
@@ -67,9 +69,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return bits(self.rows[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, lexicographically."""
         full = (1 << self.n) - 1
@@ -77,20 +76,6 @@ class Graph:
             above = self.rows[u] & (full << (u + 1))
             for v in bits(above):
                 yield (u, v)
-
-    def validate(self) -> None:
-        m2 = 0
-        for v in range(self.n):
-            if self.rows[v] >> self.n:
-                raise ValueError(f"row {v} has bits beyond n")
-            if self.rows[v] >> v & 1:
-                raise ValueError(f"self-loop at {v}")
-            m2 += self.rows[v].bit_count()
-            for u in bits(self.rows[v]):
-                if not self.rows[u] >> v & 1:
-                    raise ValueError(f"asymmetric edge ({v}, {u})")
-        if m2 != 2 * self.m:
-            raise ValueError(f"edge count {self.m} does not match rows")
 
 
 @dataclass(frozen=True)
@@ -123,9 +108,6 @@ class Clustering:
         if any(a == -1 for a in assignment):
             raise ValueError("blocks do not cover all vertices")
         return Clustering(tuple(assignment), c)
-
-    def n(self) -> int:
-        return len(self.assignment)
 
     def cluster_masks(self) -> list[int]:
         masks = [0] * self.c
@@ -262,11 +244,15 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
 # text format: "c" comments, "p cep <n> <m>" header, "e <u> <v>" with 1-based
 # ids; parse_graph also reads PACE 2021 edge lines, a bare "<u> <v>"
 
+def _format_rows(g: Graph) -> Iterator[str]:
+    """The text of g in pieces: the header, then each vertex's edge lines."""
+    yield f"p cep {g.n} {g.m}\n"
+    for u, row in groupby(g.edges(), key=itemgetter(0)):
+        yield "".join(f"e {u + 1} {v + 1}\n" for _, v in row)
+
+
 def format_graph(g: Graph) -> str:
-    lines = [f"p cep {g.n} {g.m}"]
-    for u, v in g.edges():
-        lines.append(f"e {u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
+    return "".join(_format_rows(g))
 
 
 def parse_graph(text: str) -> Graph:
@@ -320,8 +306,9 @@ def parse_graph(text: str) -> Graph:
 
 
 def write_graph(g: Graph, path) -> None:
+    """Write format_graph(g) to *path* without holding the whole text."""
     with open(path, "w") as fh:
-        fh.write(format_graph(g))
+        fh.writelines(_format_rows(g))
 
 
 def read_graph(path) -> Graph:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import (Clustering, EditSet, Graph, bits, connected_components,
+from .graph import (Clustering, Graph, bits, connected_components,
                     induced_subgraph)
 
 
@@ -140,7 +140,3 @@ def lift_clustering(outcome: PreprocessOutcome, cl: Clustering,
         raise ValueError("lift does not cover the original vertex set")
     return Clustering(tuple(assignment), next_id)
 
-
-def lift_edits(outcome: PreprocessOutcome, edits: EditSet) -> EditSet:
-    vmap = outcome.vertex_map
-    return EditSet.from_pairs((vmap[u], vmap[v]) for u, v in edits.pairs)

@@ -33,7 +33,7 @@ from math import comb
 from .cnf import CnfFormula, falsified_clause
 from .graph import Clustering, EditSet, Graph, clustering_to_edit_set
 from .regularize import (Recipe, RegularizedFormula, apply_recipes,
-                         dedupe_clause, regularize)
+                         clean_clauses, regularize)
 
 MATERIALIZE_VERTEX_LIMIT = 12000
 
@@ -353,12 +353,7 @@ def normalize_for_eth(f: CnfFormula) -> tuple[CnfFormula, tuple[Recipe, ...]]:
         recipes[n] = ("const", value)
         return n
 
-    for cl in f.clauses:
-        if len(cl) > 3:
-            raise ValueError("clauses wider than 3 are not supported")
-        seen = dedupe_clause(cl)
-        if seen is None:
-            continue
+    for seen in clean_clauses(f.clauses):
         if len(seen) == 3:
             clauses.append(seen)
         elif len(seen) == 2:
@@ -440,6 +435,12 @@ def extend_eth_assignment(art: DegreeArtifact,
     return apply_recipes(art.recipes, assignment)
 
 
+def _attached_slots(lit: int) -> tuple[int, int]:
+    """Which of its occurrence's four cycle vertices (j = 1..4) a literal's
+    q vertex joins: the first two if positive, the middle two if negated."""
+    return (1, 2) if lit > 0 else (2, 3)
+
+
 def build_eth(phi: CnfFormula) -> DegreeArtifact:
     """Construct the bounded-degree instance (normalizes the formula first)."""
     f, recipes = normalize_for_eth(phi)
@@ -476,15 +477,9 @@ def build_eth(phi: CnfFormula) -> DegreeArtifact:
             for qv in qs:
                 edges.append((pv, qv))
         for eta, lit in enumerate(clause, start=1):
-            x = abs(lit)
-            slot = occurrence_index[(j, eta)]
-            b = cycle_base[x - 1] + 4 * slot
-            if lit > 0:
-                edges.append((qs[eta - 1], b))
-                edges.append((qs[eta - 1], b + 1))
-            else:
-                edges.append((qs[eta - 1], b + 1))
-                edges.append((qs[eta - 1], b + 2))
+            b = cycle_base[abs(lit) - 1] + 4 * occurrence_index[(j, eta)]
+            for pos in _attached_slots(lit):
+                edges.append((qs[eta - 1], b + pos - 1))
 
     g = Graph.from_edges(vcount, edges)
     return DegreeArtifact(f, recipes, phi.var_count, g, 14 * len(f.clauses),
@@ -521,7 +516,7 @@ def eth_witness(art: DegreeArtifact, assignment: dict[int, bool]
         # the chosen q joins the kept cycle pair it is attached to
         lit = clause[sat_eta - 1]
         lead = art.cycle_vertex(abs(lit), art.occurrence_index[(j, sat_eta)],
-                                1 if lit > 0 else 2)
+                                _attached_slots(lit)[0])
         blocks[pair_block[lead]].append(art.gadget_vertex(j, "q", sat_eta))
 
     clustering = Clustering.from_blocks(art.graph.n, blocks)

@@ -83,15 +83,24 @@ def extend_assignment(reg: RegularizedFormula,
 # ---------------------------------------------------------------------------
 # pass 1: clean up, unit-propagate, pad short clauses
 
-def dedupe_clause(clause: Iterable[int]) -> tuple[int, ...] | None:
-    """Drop repeated literals; None for tautologies."""
-    seen: list[int] = []
-    for lit in clause:
-        if -lit in seen:
-            return None
-        if lit not in seen:
-            seen.append(lit)
-    return tuple(seen)
+def clean_clauses(clauses: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The clauses with repeated literals dropped and tautologies removed.
+
+    Raises at the first clause wider than three literals.
+    """
+    out = []
+    for clause in clauses:
+        if len(clause) > 3:
+            raise ValueError("clauses wider than 3 are not supported")
+        seen: list[int] = []
+        for lit in clause:
+            if -lit in seen:
+                break                    # a tautology: the clause is dropped
+            if lit not in seen:
+                seen.append(lit)
+        else:
+            out.append(tuple(seen))
+    return out
 
 
 def _unit_propagate(clauses: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], bool]:
@@ -119,14 +128,7 @@ def _unit_propagate(clauses: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...
 
 
 def _pass_clean(f: CnfFormula) -> tuple[list[list[int]], int, dict[int, Recipe], str]:
-    clauses = []
-    for cl in f.clauses:
-        if len(cl) > 3:
-            raise ValueError("clauses wider than 3 are not supported")
-        d = dedupe_clause(cl)
-        if d is not None:
-            clauses.append(d)
-    clauses, contradiction = _unit_propagate(clauses)
+    clauses, contradiction = _unit_propagate(clean_clauses(f.clauses))
     n = f.var_count
     recipes: dict[int, Recipe] = {}
 

@@ -11,17 +11,9 @@ from cluedit import (CnfFormula, brute_force_sat, format_dimacs,
 from cluedit.cnf import BRUTE_SAT_LIMIT, falsified_clause
 
 
-def test_from_clauses_infers_var_count():
-    f = CnfFormula.from_clauses([(1, -3), (2,)])
-    assert f.var_count == 3
-    assert f.clauses == ((1, -3), (2,))
-    g = CnfFormula.from_clauses([], var_count=2)
-    assert g.var_count == 2 and g.clauses == ()
-
-
 def test_formula_validation():
-    with pytest.raises(ValueError):
-        CnfFormula.from_clauses([()])
+    with pytest.raises(ValueError, match="empty clause"):
+        CnfFormula(0, ((),))
     with pytest.raises(ValueError):
         CnfFormula(1, ((0,),))
     with pytest.raises(ValueError):
@@ -29,7 +21,7 @@ def test_formula_validation():
 
 
 def test_satisfies_and_falsified_clause():
-    f = CnfFormula.from_clauses([(1, 2), (-1, 2), (-2, 1)])
+    f = CnfFormula(2, ((1, 2), (-1, 2), (-2, 1)))
     assert satisfies(f, {1: True, 2: True})
     assert falsified_clause(f, {1: True, 2: True}) is None
     assert falsified_clause(f, {1: False, 2: False}) == 0
@@ -44,7 +36,7 @@ def test_brute_force_sat_matches_reference():
     for _ in range(40):
         nvar = rng.randint(1, 5)
         clauses = oracles.random_clauses(rng, nvar, rng.randint(1, 6))
-        f = CnfFormula.from_clauses(clauses, var_count=nvar)
+        f = CnfFormula(nvar, tuple(clauses))
         expect = oracles.sat_assignment(nvar, clauses)
         got = brute_force_sat(f)
         assert (got is None) == (expect is None)
@@ -57,18 +49,18 @@ def test_brute_force_sat_matches_reference():
 
 def test_brute_force_sat_returns_first_in_bit_order():
     # variable 1 is the least significant bit of the sweep
-    f = CnfFormula.from_clauses([(1, 2)])
+    f = CnfFormula(2, ((1, 2),))
     assert brute_force_sat(f) == {1: True, 2: False}
 
 
 def test_brute_force_sat_limit():
-    f = CnfFormula.from_clauses([], var_count=BRUTE_SAT_LIMIT + 1)
+    f = CnfFormula(BRUTE_SAT_LIMIT + 1, ())
     with pytest.raises(ValueError):
         brute_force_sat(f)
 
 
 def test_dimacs_roundtrip():
-    f = CnfFormula.from_clauses([(1, -2, 3), (-1, 2)], var_count=4)
+    f = CnfFormula(4, ((1, -2, 3), (-1, 2)))
     text = format_dimacs(f)
     assert text.splitlines()[0] == "p cnf 4 2"
     assert parse_dimacs(text) == f

@@ -237,9 +237,7 @@ def test_cut_count_bound_against_high_precision():
 
 
 def test_cut_count_bound_monotone():
-    grid = [cut_count_bound(p, k) for p in range(6) for k in range(6)]
     for p in range(5):
         for k in range(5):
             assert cut_count_bound(p, k) <= cut_count_bound(p + 1, k)
             assert cut_count_bound(p, k) <= cut_count_bound(p, k + 1)
-    assert grid  # silence unused warnings

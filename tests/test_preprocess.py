@@ -8,9 +8,9 @@ import random
 import pytest
 
 import oracles
-from cluedit import (Clustering, EditSet, Graph, Instance, is_cluster_graph,
+from cluedit import (Clustering, Graph, Instance, is_cluster_graph,
                      apply_edits, oracle_best_cost, preprocess, lift_clustering,
-                     lift_edits, solve_exact_p)
+                     solve_exact_p)
 from cluedit.graph import mask_of
 from cluedit.preprocess import clique_component_masks
 from oracles import (preprocess_stepwise, rule1_rejects, rule2_target,
@@ -111,6 +111,11 @@ def test_k_zero_dissolves_or_rejects():
     out2 = preprocess(Instance(triangles(3), 2, 0, "exact"))
     assert not out2.rejected
     assert out2.instance.p == 0 and out2.instance.g.n == 3
+    # a triangle and two K2s at p = 2: Rule 3 peels the triangle, then a K2
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)])
+    out3 = preprocess(Instance(g, 2, 0, "exact"))
+    assert out3.removed == [("rule3", (0, 1, 2)), ("rule3", (3, 4))]
+    assert out3.vertex_map == (5, 6) and out3.instance.p == 0
 
 
 def test_at_most_mode_peels_without_rule1():
@@ -150,17 +155,6 @@ def test_lift_clustering_restores_removed_cliques():
     # removed triangles come back as their own clusters covering all of g
     assert sorted(m for m in lifted.cluster_masks()) == sorted(
         mask_of(range(3 * t, 3 * t + 3)) for t in range(8))
-
-
-def test_lift_edits_maps_back_to_original_ids():
-    g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)])
-    # k = 0, p = 3: Rule 3 peels the triangle then a K2
-    out = preprocess(Instance(g, 2, 0, "exact"))
-    assert out.removed[0] == ("rule3", (0, 1, 2))
-    red = out.instance
-    edits = EditSet.from_pairs([(0, 1)])  # in reduced ids
-    lifted = lift_edits(out, edits)
-    assert lifted.pairs == {(out.vertex_map[0], out.vertex_map[1])}
 
 
 def test_pipeline_agrees_with_oracle_on_rule_heavy_instances():

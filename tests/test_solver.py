@@ -9,11 +9,12 @@ import pytest
 
 import oracles
 from cluedit import (Clustering, EditSet, Graph, Instance, Solution,
-                     arc_cost, enumerate_k_cuts, solve_at_most_p,
-                     solve_exact_p, verify_solution)
+                     enumerate_k_cuts, solve_at_most_p, solve_exact_p,
+                     verify_solution)
 from cluedit import solver
 from cluedit.graph import bits, mask_of
-from cluedit.solver import SolveStats, _dp_numpy, _dp_python, result_to_dict
+from cluedit.solver import (SolveStats, _dp_numpy, _dp_python, arc_cost,
+                            result_to_dict)
 
 
 def path(n):
