@@ -10,9 +10,9 @@ witness cost, the closed-form summands, and a bit-level edit distance
 can all be compared; at the faithful scale factor only the counts fit
 in memory.
 """
-from cluedit import (CnfFormula, attachment_counts, brute_force_sat,
-                     budget_summands, build_multivariate, cluster_graph_of,
-                     edit_distance, extend_assignment, materialize_graph,
+from cluedit import (CnfFormula, apply_edits, attachment_counts,
+                     brute_force_sat, budget_summands, build_multivariate,
+                     cluster_graph_of, extend_assignment, materialize_graph,
                      multivariate_witness, witness_clustering)
 
 
@@ -45,7 +45,8 @@ def main():
 
     g = materialize_graph(art)
     target = cluster_graph_of(g.n, witness_clustering(art, wit))
-    print(f"bit-level cross-check: edit_distance = {edit_distance(g, target)}")
+    # g xor target has one edge per pair the two graphs disagree on
+    print(f"bit-level cross-check: edit_distance = {apply_edits(g, target).m}")
 
     art = build_multivariate(phi, p=p, k=k, L_factor=1000)
     print(f"\nfaithful scale factor 1000: L={art.L}, "

@@ -42,7 +42,7 @@ def main():
     lifted_cl = lift_clustering(out, res.solution.clustering, g.n)
     lifted_ed = clustering_to_edit_set(g, lifted_cl)
     print(f"lifted back: {lifted_cl.c} clusters on the original graph, "
-          f"{len(lifted_ed)} edits")
+          f"{lifted_ed.m} edits")
 
     # The solver runs the same pipeline internally; answers agree.
     direct = solve_exact_p(inst)

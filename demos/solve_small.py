@@ -18,11 +18,10 @@ def show(res, g):
     print(f"  answer: YES  cost={sol.cost}")
     for i, mask in enumerate(sol.clustering.cluster_masks()):
         print(f"  cluster {i}: {sorted(bits(mask))}")
-    add, dele = sol.edits.split(g)
-    for u, v in add:
-        print(f"  add    ({u}, {v})")
-    for u, v in dele:
-        print(f"  delete ({u}, {v})")
+    # additions first, then deletions, each in (u, v) order
+    for u, v in sorted(sol.edits.edges(), key=lambda e: g.has_edge(*e)):
+        action = "delete" if g.has_edge(u, v) else "add   "
+        print(f"  {action} ({u}, {v})")
 
 
 def main():

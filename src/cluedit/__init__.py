@@ -11,9 +11,8 @@ from .cnf import (CnfFormula, brute_force_sat, format_dimacs, parse_assignment,
                   parse_dimacs, read_dimacs, satisfies)
 from .cuts import (UNBOUNDED, CutIndex, cut_count_bound, edges_inside_table,
                    enumerate_k_cuts, min_cut_leq)
-from .graph import (Clustering, EditSet, Graph, apply_edits,
-                    clustering_to_edit_set, cluster_graph_of,
-                    connected_components, edit_distance, format_graph,
+from .graph import (Clustering, Graph, apply_edits, clustering_to_edit_set,
+                    cluster_graph_of, connected_components, format_graph,
                     induced_subgraph, is_cluster_graph, parse_graph,
                     read_graph, write_graph)
 from .preprocess import Instance, PreprocessOutcome, lift_clustering, preprocess

@@ -5,6 +5,10 @@ per vertex; membership tests, symmetric difference and component extraction
 are all bit operations, which keeps even reduction outputs with millions of
 edges workable.  Edge sets are never materialized wholesale -- ``edges()``
 iterates and ``m`` is a stored count.
+
+An edit set F is itself a `Graph` on the same vertices, whose edges are the
+pairs to toggle: the edited graph is G xor F (`apply_edits`) and the cost
+is F.m.
 """
 from __future__ import annotations
 
@@ -70,12 +74,21 @@ class Graph:
         return self.rows[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield edges as (u, v) with u < v, lexicographically."""
-        full = (1 << self.n) - 1
-        for u in range(self.n):
-            above = self.rows[u] & (full << (u + 1))
-            for v in bits(above):
-                yield (u, v)
+        """Yield edges as (u, v) with u < v, lexicographically.
+
+        Each row with a higher neighbour is read once, as a binary string
+        searched for its ones, so a row costs its width and not its width
+        per set bit.
+        """
+        for u, row in enumerate(self.rows):
+            above = row >> (u + 1)
+            if not above:
+                continue
+            text = f"{above:b}"[::-1]
+            i = text.find("1")
+            while i >= 0:
+                yield (u, u + 1 + i)
+                i = text.find("1", i + 1)
 
 
 @dataclass(frozen=True)
@@ -122,31 +135,6 @@ class Clustering:
         return sz
 
 
-@dataclass(frozen=True)
-class EditSet:
-    """Set of vertex pairs to toggle; applying twice is the identity."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[int, int]]) -> "EditSet":
-        norm = set()
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self-pair ({u}, {v})")
-            norm.add((u, v) if u < v else (v, u))
-        return EditSet(frozenset(norm))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def split(self, g: Graph) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Return (additions, deletions) of this edit set relative to g."""
-        add = sorted(p for p in self.pairs if not g.has_edge(*p))
-        dele = sorted(p for p in self.pairs if g.has_edge(*p))
-        return add, dele
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -179,26 +167,16 @@ def is_cluster_graph(g: Graph) -> bool:
     return True
 
 
-def edit_distance(g: Graph, h: Graph) -> int:
-    """|E(g) symmetric-difference E(h)| for graphs on the same vertex set."""
-    if g.n != h.n:
-        raise ValueError(f"vertex count mismatch: {g.n} vs {h.n}")
-    total = 0
-    for v in range(g.n):
-        total += (g.rows[v] ^ h.rows[v]).bit_count()
-    return total // 2
+def apply_edits(g: Graph, edits: Graph) -> Graph:
+    """g with every edge of *edits* toggled: the symmetric difference.
 
-
-def apply_edits(g: Graph, edits: EditSet) -> Graph:
-    rows = list(g.rows)
-    m = g.m
-    for u, v in edits.pairs:
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise ValueError(f"edit pair ({u}, {v}) out of range")
-        m += -1 if rows[u] >> v & 1 else 1
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-    return Graph(g.n, tuple(rows), m)
+    Applying the same edits twice gives g back, and for two graphs g and h
+    on the same vertices apply_edits(g, h).m is their edit distance.
+    """
+    if g.n != edits.n:
+        raise ValueError(f"vertex count mismatch: {g.n} vs {edits.n}")
+    rows = tuple(map(int.__xor__, g.rows, edits.rows))
+    return Graph(g.n, rows, sum(map(int.bit_count, rows)) // 2)
 
 
 def cluster_graph_of(n: int, cl: Clustering) -> Graph:
@@ -210,19 +188,9 @@ def cluster_graph_of(n: int, cl: Clustering) -> Graph:
     return Graph(n, rows, m)
 
 
-def clustering_to_edit_set(g: Graph, cl: Clustering) -> EditSet:
+def clustering_to_edit_set(g: Graph, cl: Clustering) -> Graph:
     """The unique edit set turning g into the cluster graph of cl."""
-    if len(cl.assignment) != g.n:
-        raise ValueError("clustering size mismatch")
-    masks = cl.cluster_masks()
-    full = (1 << g.n) - 1
-    pairs = []
-    for v in range(g.n):
-        want = masks[cl.assignment[v]] ^ (1 << v)
-        diff = (g.rows[v] ^ want) & (full << (v + 1))
-        for u in bits(diff):
-            pairs.append((v, u))
-    return EditSet.from_pairs(pairs)
+    return apply_edits(g, cluster_graph_of(g.n, cl))
 
 
 def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import comb
 
 from .cnf import CnfFormula, falsified_clause
-from .graph import Clustering, EditSet, Graph, clustering_to_edit_set
+from .graph import Clustering, Graph, clustering_to_edit_set
 from .regularize import (Recipe, RegularizedFormula, apply_recipes,
                          clean_clauses, regularize)
 
@@ -487,11 +487,12 @@ def build_eth(phi: CnfFormula) -> DegreeArtifact:
 
 
 def eth_witness(art: DegreeArtifact, assignment: dict[int, bool]
-                ) -> tuple[Clustering, EditSet, int]:
-    """Exact-budget witness: clustering + edit set of size 14m.
+                ) -> tuple[Clustering, Graph, int]:
+    """Exact-budget witness: clustering, edit set and its size 14m.
 
-    Only the clusters are built; the edits are the ones that turn the graph
-    into their cluster graph.  `assignment` addresses the normalized formula; use
+    Only the clusters are built; the edit set is the graph on the vertices
+    of ``art.graph`` whose edges are the pairs that turn it into their
+    cluster graph.  `assignment` addresses the normalized formula; use
     `extend_eth_assignment` to push a source assignment through.
     """
     f = art.formula
@@ -521,9 +522,9 @@ def eth_witness(art: DegreeArtifact, assignment: dict[int, bool]
 
     clustering = Clustering.from_blocks(art.graph.n, blocks)
     edits = clustering_to_edit_set(art.graph, clustering)
-    if len(edits) != art.budget:
-        raise AssertionError(f"witness size {len(edits)} != budget {art.budget}")
-    return clustering, edits, len(edits)
+    if edits.m != art.budget:
+        raise AssertionError(f"witness size {edits.m} != budget {art.budget}")
+    return clustering, edits, edits.m
 
 
 # ===========================================================================

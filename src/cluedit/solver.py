@@ -47,9 +47,8 @@ import numpy as np
 # edges_inside_table is not used here; bench/spans.py patches it by name
 from .cuts import CutIndex, cut_count_bound, edges_inside_table, enumerate_k_cuts
 # connected_components is not used here; bench/spans.py patches it by name
-from .graph import (Clustering, EditSet, Graph, apply_edits, bits,
-                    cluster_graph_of, clustering_to_edit_set,
-                    connected_components)
+from .graph import (Clustering, Graph, apply_edits, bits, cluster_graph_of,
+                    clustering_to_edit_set, connected_components)
 from .preprocess import Instance, PreprocessOutcome, lift_clustering, preprocess
 
 _BIG = 1 << 31
@@ -61,7 +60,7 @@ _ARC_BLOCK = 1 << 18
 @dataclass(frozen=True)
 class Solution:
     clustering: Clustering
-    edits: EditSet
+    edits: Graph                 # edit set: its edges are the toggled pairs
     cost: int
 
 
@@ -307,7 +306,7 @@ def _finish(inst: Instance, outcome: PreprocessOutcome, reduced_cl: Clustering,
             stats: SolveStats) -> SolveResult:
     cl = lift_clustering(outcome, reduced_cl, inst.g.n)
     edits = clustering_to_edit_set(inst.g, cl)
-    sol = Solution(cl, edits, len(edits))
+    sol = Solution(cl, edits, edits.m)
     if not verify_solution(inst, sol):
         raise AssertionError("internal error: solver produced a bad solution")
     return SolveResult(True, sol, stats)
@@ -319,9 +318,12 @@ def verify_solution(inst: Instance, sol: Solution) -> bool:
     The edited graph equals the clustering's cluster graph iff it is a
     cluster graph whose components are exactly the clusters.
     """
-    if len(sol.clustering.assignment) != inst.g.n:
+    if len(sol.clustering.assignment) != inst.g.n or sol.edits.n != inst.g.n:
         return False
-    if sol.cost != len(sol.edits) or sol.cost > inst.k:
+    # count the toggled pairs, each once per end: a certificate's stored m
+    # is a claim, not evidence
+    ends = sum(map(int.bit_count, sol.edits.rows))
+    if ends != 2 * sol.cost or sol.cost > inst.k:
         return False
     if apply_edits(inst.g, sol.edits) != cluster_graph_of(inst.g.n, sol.clustering):
         return False
@@ -344,10 +346,11 @@ def result_to_dict(res: SolveResult, g: Graph, base: int = 0) -> dict:
                 "additions": [], "deletions": [], "stats": stats}
     sol = res.solution
     assert sol is not None
-    clusters = [sorted(v + base for v in bits(m))
-                for m in sol.clustering.cluster_masks()]
-    adds, dels = sol.edits.split(g)
+    clusters = [[] for _ in range(sol.clustering.c)]
+    for v, a in enumerate(sol.clustering.assignment):
+        clusters[a].append(v + base)
+    adds, dels = [], []
+    for u, v in sol.edits.edges():
+        (dels if g.has_edge(u, v) else adds).append([u + base, v + base])
     return {"answer": "yes", "cost": sol.cost, "clusters": clusters,
-            "additions": [[u + base, v + base] for u, v in adds],
-            "deletions": [[u + base, v + base] for u, v in dels],
-            "stats": stats}
+            "additions": adds, "deletions": dels, "stats": stats}

@@ -195,9 +195,10 @@ def at_most_by_exact_loop(inst: Instance, cap=None) -> SolveResult:
 def verify_solution_components(inst: Instance, sol: Solution) -> bool:
     """Certificate check by components: the edited graph is a cluster graph
     and its components are exactly the clusters."""
-    if len(sol.clustering.assignment) != inst.g.n:
+    if len(sol.clustering.assignment) != inst.g.n or sol.edits.n != inst.g.n:
         return False
-    if sol.cost != len(sol.edits) or sol.cost > inst.k:
+    # the cost is the number of toggled pairs, counted, not the stored m
+    if sol.cost != len(list(sol.edits.edges())) or sol.cost > inst.k:
         return False
     edited = apply_edits(inst.g, sol.edits)
     if not is_cluster_graph(edited):

@@ -200,17 +200,27 @@ def test_solve_and_oracle_stdout_pinned(graph_file, capsys, command, fmt, mode):
     assert digest.hexdigest() == PINNED_STDOUT[command, fmt, mode]
 
 
-def test_runtime_does_not_import_mpmath(graph_file):
-    # mpmath is a test dependency only: a solve and a cut count checked
-    # against the counting bound run on the standard library and numpy
+def test_runtime_does_not_import_mpmath(tmp_path, graph_file, cnf_file):
+    # the test extra's modules are for tests only: every command runs on
+    # the standard library and numpy
     path = graph_file(BRIDGED_TRIANGLES)
+    cnf = cnf_file(CnfFormula(3, ((1, 2, 3),)))
+    wit = tmp_path / "model.txt"
+    wit.write_text("1 -2 -3\n")
+    commands = [
+        ["solve", path, "--p", "2", "--k", "1"],
+        ["oracle", path, "--p", "2", "--k", "1"],
+        ["cuts", path, "--k", "1", "--count-only", "--p", "2"],
+        ["reduce", "eth", cnf, "--witness", str(wit)],
+        ["reduce", "multivariate", cnf, "--p", "2", "--k", "5"],
+    ]
     script = f"""
 import sys
-import cluedit
 from cluedit import cli
-assert cli.main(["solve", {path!r}, "--p", "2", "--k", "1"]) == 0
-assert cli.main(["cuts", {path!r}, "--k", "1", "--count-only", "--p", "2"]) == 0
-assert "mpmath" not in sys.modules, "mpmath was imported"
+for argv in {commands!r}:
+    assert cli.main(argv) == 0, argv
+    loaded = {{"mpmath", "scipy", "hypothesis", "pytest"}} & set(sys.modules)
+    assert not loaded, (argv, loaded)
 """
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env=package_env(), timeout=120)

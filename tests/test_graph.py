@@ -1,4 +1,5 @@
-"""Graph container, clusterings, edit sets and the text file format."""
+"""Graph container, clusterings, edit sets (graphs of toggled pairs) and the
+text file format."""
 from __future__ import annotations
 
 import itertools
@@ -9,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cluedit import (Clustering, EditSet, Graph, apply_edits, cluster_graph_of,
+from cluedit import (Clustering, Graph, apply_edits, cluster_graph_of,
                      clustering_to_edit_set, connected_components,
-                     edit_distance, format_graph, induced_subgraph,
-                     is_cluster_graph, parse_graph, write_graph)
+                     format_graph, induced_subgraph, is_cluster_graph,
+                     parse_graph, write_graph)
 from cluedit.graph import MAX_PARSE_VERTICES, bits, mask_of
 
 
@@ -40,6 +41,18 @@ def test_from_edges_basic():
     assert g.rows == (0b00010, 0b00101, 0b00010, 0b10000, 0b01000)
 
 
+def test_edges_on_wide_rows():
+    # rows wider than a machine word, empty rows and a last-vertex neighbour
+    rng = random.Random(17)
+    n = 300
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+             if u % 7 and rng.random() < 0.05}
+    edges |= {(0, n - 1), (n - 2, n - 1)}
+    g = Graph.from_edges(n, edges)
+    assert list(g.edges()) == sorted(edges)
+    assert list(Graph.empty(n).edges()) == []
+
+
 def test_from_edges_rejects_bad_input():
     with pytest.raises(ValueError, match="bad edge"):
         Graph.from_edges(3, [(0, 0)])
@@ -64,6 +77,7 @@ def test_is_cluster_graph():
 
 
 def test_edit_distance_matches_pair_count():
+    # g xor h has one edge per pair the two graphs disagree on
     rng = random.Random(11)
     for _ in range(20):
         n = rng.randint(1, 9)
@@ -71,32 +85,22 @@ def test_edit_distance_matches_pair_count():
         e2 = oracles.random_edges(rng, n, 0.5)
         g, h = Graph.from_edges(n, e1), Graph.from_edges(n, e2)
         expect = len({frozenset(e) for e in e1} ^ {frozenset(e) for e in e2})
-        assert edit_distance(g, h) == expect
-        assert edit_distance(h, g) == expect
+        assert apply_edits(g, h).m == expect
+        assert apply_edits(h, g).m == expect
     with pytest.raises(ValueError, match="mismatch"):
-        edit_distance(Graph.empty(2), Graph.empty(3))
+        apply_edits(Graph.empty(2), Graph.empty(3))
 
 
 def test_apply_edits_is_an_involution():
     rng = random.Random(5)
     g = Graph.from_edges(6, oracles.random_edges(rng, 6, 0.4))
-    edits = EditSet.from_pairs([(0, 1), (2, 5), (3, 4)])
+    edits = Graph.from_edges(6, [(0, 1), (2, 5), (3, 4)])
     h = apply_edits(g, edits)
-    assert edit_distance(g, h) == 3
+    assert apply_edits(g, h) == edits
     back = apply_edits(h, edits)
     assert back == g
-    with pytest.raises(ValueError, match="out of range"):
-        apply_edits(g, EditSet(frozenset({(0, 9)})))
-
-
-def test_edit_set_normalization():
-    es = EditSet.from_pairs([(2, 1), (1, 2), (0, 3)])
-    assert es.pairs == frozenset({(1, 2), (0, 3)})
-    assert len(es) == 2
-    with pytest.raises(ValueError, match="self-pair"):
-        EditSet.from_pairs([(1, 1)])
-    add, dele = es.split(path3())
-    assert add == [(0, 3)] and dele == [(1, 2)]
+    with pytest.raises(ValueError, match="vertex count mismatch: 6 vs 10"):
+        apply_edits(g, Graph.from_edges(10, [(0, 9)]))
 
 
 def test_clustering_from_blocks_roundtrip():
@@ -129,7 +133,7 @@ def test_cluster_graph_of_and_edit_set_agree_with_reference():
         blocks = oracles.random_blocks(rng, n, rng.randint(1, n))
         cl = Clustering.from_blocks(n, blocks)
         es = clustering_to_edit_set(g, cl)
-        assert len(es) == oracles.editing_cost(n, edges, blocks)
+        assert es.m == oracles.editing_cost(n, edges, blocks)
         assert apply_edits(g, es) == cluster_graph_of(n, cl)
         assert is_cluster_graph(apply_edits(g, es))
 
@@ -215,6 +219,42 @@ def test_parse_format_identity(g):
 def test_random_edit_sets_shift_distance(g, rnd):
     pairs = list(itertools.combinations(range(g.n), 2))
     chosen = [p for p in pairs if rnd.random() < 0.3]
-    es = EditSet.from_pairs(chosen)
+    es = Graph.from_edges(g.n, chosen)
     h = apply_edits(g, es)
-    assert edit_distance(g, h) == len(chosen)
+    assert apply_edits(g, h).m == len(chosen)
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two graphs on one vertex set, and a cluster label per vertex."""
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+
+    def edges():
+        return draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+
+    g, h = Graph.from_edges(n, edges()), Graph.from_edges(n, edges())
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return g, h, labels
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_pairs())
+def test_edit_graphs_match_pair_sets(case):
+    g, h, a = case
+    n = g.n
+    # apply_edits is the symmetric difference of the edge sets, so applying
+    # the same edits twice is the identity
+    diff = apply_edits(g, h)
+    assert set(diff.edges()) == set(g.edges()) ^ set(h.edges())
+    assert diff.m == len(set(g.edges()) ^ set(h.edges()))
+    assert apply_edits(diff, h) == g and apply_edits(g, diff) == h
+    # a clustering's edit set toggles exactly the pairs whose adjacency
+    # disagrees with sharing a cluster
+    cl = Clustering.from_blocks(n, [[v for v in range(n) if a[v] == c]
+                                    for c in range(4)])
+    edits = clustering_to_edit_set(g, cl)
+    assert list(edits.edges()) == [
+        (u, v) for u, v in itertools.combinations(range(n), 2)
+        if g.has_edge(u, v) != (a[u] == a[v])]
+    assert edits.m == len(list(edits.edges()))

@@ -15,7 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cluedit import (Clustering, EditSet, Instance, Solution, cli,
+from cluedit import (Clustering, Graph, Instance, Solution, cli,
                      oracle_best_cost, parse_assignment, parse_dimacs,
                      parse_graph, verify_solution)
 
@@ -110,8 +110,11 @@ def test_solve_cli_answers_or_rejects(text, p, k, mode, cap):
         assert yes and report["cost"] == opt
         adds = [(u - 1, v - 1) for u, v in report["additions"]]
         dels = [(u - 1, v - 1) for u, v in report["deletions"]]
-        edits = EditSet.from_pairs(adds + dels)
-        assert edits.split(g) == (adds, dels)
+        # one edit graph: the additions are its non-edges of g, the
+        # deletions its edges of g, each list in (u, v) order
+        edits = Graph.from_edges(g.n, adds + dels)
+        assert [e for e in edits.edges() if not g.has_edge(*e)] == adds
+        assert [e for e in edits.edges() if g.has_edge(*e)] == dels
         clustering = Clustering.from_blocks(
             g.n, [[v - 1 for v in c] for c in report["clusters"]])
         assert verify_solution(inst, Solution(clustering, edits, opt))

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import oracles
-from cluedit import (Clustering, EditSet, Graph, Instance, Solution,
+from cluedit import (Clustering, Graph, Instance, Solution,
                      enumerate_k_cuts, solve_at_most_p, solve_exact_p,
                      verify_solution)
 from cluedit import solver
 from cluedit.graph import bits, mask_of
-from cluedit.solver import (SolveStats, _dp_numpy, _dp_python, arc_cost,
-                            result_to_dict)
+from cluedit.solver import (SolveResult, SolveStats, _dp_numpy, _dp_python,
+                            arc_cost, result_to_dict)
 
 
 def path(n):
@@ -265,6 +265,11 @@ def test_verify_solution_rejects_bad_certificates():
     if other.cluster_masks() != good.clustering.cluster_masks():
         assert not verify_solution(inst, Solution(other, good.edits,
                                                   good.cost))
+    # clustering or edit graph on another vertex count
+    assert not verify_solution(inst, Solution(
+        Clustering.from_blocks(4, [[0, 1], [2, 3]]), good.edits, good.cost))
+    wide = Graph(4, good.edits.rows + (0,), good.edits.m)
+    assert not verify_solution(inst, Solution(good.clustering, wide, good.cost))
     # cluster count differs from p
     assert not verify_solution(Instance(g, 3, 1, "exact"), good)
     # budget exceeded
@@ -273,16 +278,22 @@ def test_verify_solution_rejects_bad_certificates():
 
 def _corruptions(sol: Solution, n: int):
     """Damaged copies of a solution: one per way a certificate can lie."""
-    pairs = sorted(sol.edits.pairs)
+    pairs = list(sol.edits.edges())
     blocks = [list(bits(mask)) for mask in sol.clustering.cluster_masks()]
     if pairs:
-        dropped = EditSet(frozenset(pairs[1:]))
-        yield Solution(sol.clustering, dropped, len(dropped))
+        dropped = Graph.from_edges(n, pairs[1:])
+        yield Solution(sol.clustering, dropped, dropped.m)
     extra = next(((u, v) for u in range(n) for v in range(u + 1, n)
-                  if (u, v) not in sol.edits.pairs), None)
+                  if not sol.edits.has_edge(u, v)), None)
     if extra is not None:
-        added = EditSet(sol.edits.pairs | {extra})
-        yield Solution(sol.clustering, added, len(added))
+        added = Graph.from_edges(n, pairs + [extra])
+        yield Solution(sol.clustering, added, added.m)
+    wide = Graph(n + 1, sol.edits.rows + (0,), sol.edits.m)
+    yield Solution(sol.clustering, wide, sol.cost)
+    if sol.cost:
+        # the stored edge count understates the edits
+        short = Graph(n, sol.edits.rows, sol.edits.m - 1)
+        yield Solution(sol.clustering, short, short.m)
     if len(blocks) >= 2:
         merged = Clustering.from_blocks(n, [blocks[0] + blocks[1]] + blocks[2:])
         yield Solution(merged, sol.edits, sol.cost)
@@ -323,6 +334,13 @@ def test_result_to_dict_shapes():
     assert d["additions"] == [] and len(d["deletions"]) == 1
     assert set(d["stats"]) == {"cuts_enumerated", "dp_states",
                                "rules_applied", "aborted"}
+    # one edit graph splits into additions and deletions against the input
+    g = Graph.from_edges(4, [(0, 1), (1, 2)])
+    edits = Graph.from_edges(4, [(1, 2), (0, 3)])
+    cl = Clustering.from_blocks(4, [[0, 1, 3], [2]])
+    d = result_to_dict(SolveResult(True, Solution(cl, edits, 2), SolveStats()), g)
+    assert d["additions"] == [[0, 3]] and d["deletions"] == [[1, 2]]
+    assert d["clusters"] == [[0, 1, 3], [2]]
     no = solve_exact_p(Instance(path(3), 2, 0, "exact"))
     dn = result_to_dict(no, inst.g)
     assert dn["answer"] == "no" and dn["cost"] is None and dn["clusters"] == []
