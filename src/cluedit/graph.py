@@ -1,10 +1,11 @@
 """Graphs, clusterings and edit sets for cluster editing.
 
-Vertices are 0..n-1.  Adjacency is stored as one arbitrary-precision bitmask
-per vertex; membership tests, symmetric difference and component extraction
-are all bit operations, which keeps even reduction outputs with millions of
-edges workable.  Edge sets are never materialized wholesale -- ``edges()``
-iterates and ``m`` is a stored count.
+Vertices are 0..n-1.  A graph is its rows, one arbitrary-precision
+bitmask per vertex; membership tests, symmetric difference and the
+clique-component test are all bit operations, which keeps even reduction
+outputs with millions of edges workable.  Edge sets are never materialized
+wholesale: ``edges()`` iterates, and ``n`` and ``m`` are derived from the
+rows (their count and half their popcount).
 
 An edit set F is itself a `Graph` on the same vertices, whose edges are the
 pairs to toggle: the edited graph is G xor F (`apply_edits`) and the cost
@@ -12,6 +13,7 @@ is F.m.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -41,18 +43,24 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    ``rows[v]`` is the open-neighbourhood bitmask of v.  Instances are
-    immutable; edit operations return new graphs.
+    ``rows[v]`` is the open-neighbourhood bitmask of v, and n and m are
+    read off the rows.  Instances are immutable; edit operations return
+    new graphs.
     """
 
-    n: int
     rows: tuple[int, ...]
-    m: int
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    @property
+    def m(self) -> int:
+        return sum(map(int.bit_count, self.rows)) // 2
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
-        m = 0
         for u, v in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad edge ({u}, {v}) for n={n}")
@@ -60,12 +68,11 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            m += 1
-        return Graph(n, tuple(rows), m)
+        return Graph(tuple(rows))
 
     @staticmethod
     def empty(n: int) -> "Graph":
-        return Graph(n, (0,) * n, 0)
+        return Graph((0,) * n)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -96,14 +103,14 @@ class Clustering:
     """Partition of 0..n-1 into clusters with dense ids 0..c-1."""
 
     assignment: tuple[int, ...]
-    c: int
 
     def __post_init__(self) -> None:
-        seen = set(self.assignment)
-        if self.c < 0 or (self.assignment and seen != set(range(self.c))):
+        if set(self.assignment) != set(range(self.c)):
             raise ValueError("cluster ids must be dense 0..c-1 and nonempty")
-        if not self.assignment and self.c != 0:
-            raise ValueError("empty vertex set admits only c=0")
+
+    @property
+    def c(self) -> int:
+        return max(self.assignment, default=-1) + 1
 
     @staticmethod
     def from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> "Clustering":
@@ -120,7 +127,7 @@ class Clustering:
                 c += 1
         if any(a == -1 for a in assignment):
             raise ValueError("blocks do not cover all vertices")
-        return Clustering(tuple(assignment), c)
+        return Clustering(tuple(assignment))
 
     def cluster_masks(self) -> list[int]:
         masks = [0] * self.c
@@ -158,13 +165,21 @@ def connected_components(g: Graph) -> list[int]:
     return out
 
 
+def clique_component_masks(g: Graph) -> list[int]:
+    """Masks of the components of g that are cliques, by smallest vertex.
+
+    A closed row R = rows[v] | 1 << v contains v, and R is a clique
+    component iff every vertex of R, and no other, has closed row R: so iff
+    exactly |R| vertices have it.  One hash per row finds them, and the
+    counter keeps each row at its first, smallest, vertex.
+    """
+    count = Counter(row | 1 << v for v, row in enumerate(g.rows))
+    return [r for r, hits in count.items() if hits == r.bit_count()]
+
+
 def is_cluster_graph(g: Graph) -> bool:
     """True iff every connected component induces a clique (no induced P3)."""
-    for comp in connected_components(g):
-        for v in bits(comp):
-            if g.rows[v] != comp ^ (1 << v):
-                return False
-    return True
+    return sum(map(int.bit_count, clique_component_masks(g))) == g.n
 
 
 def apply_edits(g: Graph, edits: Graph) -> Graph:
@@ -175,17 +190,14 @@ def apply_edits(g: Graph, edits: Graph) -> Graph:
     """
     if g.n != edits.n:
         raise ValueError(f"vertex count mismatch: {g.n} vs {edits.n}")
-    rows = tuple(map(int.__xor__, g.rows, edits.rows))
-    return Graph(g.n, rows, sum(map(int.bit_count, rows)) // 2)
+    return Graph(tuple(map(int.__xor__, g.rows, edits.rows)))
 
 
 def cluster_graph_of(n: int, cl: Clustering) -> Graph:
     if len(cl.assignment) != n:
         raise ValueError("clustering size mismatch")
     masks = cl.cluster_masks()
-    rows = tuple(masks[cl.assignment[v]] ^ (1 << v) for v in range(n))
-    m = sum(s * (s - 1) // 2 for s in cl.sizes())
-    return Graph(n, rows, m)
+    return Graph(tuple(masks[cl.assignment[v]] ^ (1 << v) for v in range(n)))
 
 
 def clustering_to_edit_set(g: Graph, cl: Clustering) -> Graph:
@@ -198,14 +210,12 @@ def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
     old = list(bits(keep))
     new_of = {o: i for i, o in enumerate(old)}
     rows = []
-    m = 0
     for o in old:
         row = 0
         for u in bits(g.rows[o] & keep):
             row |= 1 << new_of[u]
         rows.append(row)
-        m += row.bit_count()
-    return Graph(len(old), tuple(rows), m // 2), tuple(old)
+    return Graph(tuple(rows)), tuple(old)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +236,6 @@ def format_graph(g: Graph) -> str:
 def parse_graph(text: str) -> Graph:
     n = m = None
     rows: list[int] = []
-    count = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -263,14 +272,14 @@ def parse_graph(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: duplicate edge {line!r}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            count += 1
         else:
             raise ValueError(f"line {lineno}: unknown record {line!r}")
     if n is None:
         raise ValueError("missing header")
-    if count != m:
-        raise ValueError(f"header claims {m} edges, found {count}")
-    return Graph(n, tuple(rows), count)
+    g = Graph(tuple(rows))
+    if g.m != m:
+        raise ValueError(f"header claims {m} edges, found {g.m}")
+    return g
 
 
 def write_graph(g: Graph, path) -> None:

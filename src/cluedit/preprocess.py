@@ -25,7 +25,8 @@ Applied one at a time, with Rule 3 before Rule 2, the rules need no
 re-scan of the graph: each deletion removes one clique component and lowers
 p by one, and no deletion makes a new clique component.  So the number of
 clique components minus p never changes and Rule 1 needs checking only
-once, on entry.  The deletions are then fixed by one component pass: the
+once, on entry.  The deletions are then fixed by one pass over the clique
+components (`clique_component_masks`, one OR and one hash per row): the
 nontrivial cliques from largest to smallest, then the isolated vertices by
 id, each rule for as long as its 2k+1 threshold and p' > 6k allow.  One
 ``induced_subgraph`` builds the kernel.  Apart from sorting the cliques by
@@ -33,10 +34,11 @@ size this is O(n + m) row operations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graph import (Clustering, Graph, bits, connected_components,
-                    induced_subgraph)
+# connected_components is not used here; bench/spans.py patches it by name
+from .graph import (Clustering, Graph, bits, clique_component_masks,
+                    connected_components, induced_subgraph)
 
 
 @dataclass(frozen=True)
@@ -64,23 +66,26 @@ class Instance:
 
 @dataclass
 class PreprocessOutcome:
-    """Reduced instance plus the log needed to lift solutions back."""
+    """Reduced instance plus the log needed to lift solutions back.
 
-    rejected: bool
+    *reason* names the rejection ("rule1" or "p_exceeds_n") and is None
+    for a kernel; *removed* lists the deleted components with their rules.
+    """
+
     reason: str | None
     instance: Instance | None
     vertex_map: tuple[int, ...]  # reduced id -> original id
-    removed: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
-    rules_applied: list[str] = field(default_factory=list)
+    removed: list[tuple[str, tuple[int, ...]]]
 
+    @property
+    def rejected(self) -> bool:
+        return self.reason is not None
 
-def clique_component_masks(g: Graph) -> list[int]:
-    """Masks of connected components that are cliques, in component order."""
-    out = []
-    for comp in connected_components(g):
-        if all(g.rows[v] == comp ^ (1 << v) for v in bits(comp)):
-            out.append(comp)
-    return out
+    @property
+    def rules_applied(self) -> list[str]:
+        """The rule of each deletion in order, then "rule1" if it rejected."""
+        applied = [rule for rule, _ in self.removed]
+        return applied + ["rule1"] if self.reason == "rule1" else applied
 
 
 def preprocess(inst: Instance) -> PreprocessOutcome:
@@ -98,8 +103,7 @@ def preprocess(inst: Instance) -> PreprocessOutcome:
     if p > 6 * k:
         cliques = clique_component_masks(g)
         if mode == "exact" and len(cliques) < p - 2 * k:
-            return PreprocessOutcome(True, "rule1", None, identity, [],
-                                     ["rule1"])
+            return PreprocessOutcome("rule1", None, identity, [])
         # largest first; the stable sort keeps ties in component order
         nontrivial = sorted((c for c in cliques if c.bit_count() > 1),
                             key=int.bit_count, reverse=True)
@@ -114,14 +118,11 @@ def preprocess(inst: Instance) -> PreprocessOutcome:
     vmap = identity
     if keep != full:
         g, vmap = induced_subgraph(g, keep)
-    applied = [rule for rule, _ in removed]
     if p > g.n:
         if mode == "exact":
-            return PreprocessOutcome(True, "p_exceeds_n", None, vmap, removed,
-                                     applied)
+            return PreprocessOutcome("p_exceeds_n", None, vmap, removed)
         p = g.n
-    return PreprocessOutcome(False, None, Instance(g, p, k, mode), vmap,
-                             removed, applied)
+    return PreprocessOutcome(None, Instance(g, p, k, mode), vmap, removed)
 
 
 def lift_clustering(outcome: PreprocessOutcome, cl: Clustering,
@@ -138,5 +139,5 @@ def lift_clustering(outcome: PreprocessOutcome, cl: Clustering,
         next_id += 1
     if any(a == -1 for a in assignment):
         raise ValueError("lift does not cover the original vertex set")
-    return Clustering(tuple(assignment), next_id)
+    return Clustering(tuple(assignment))
 

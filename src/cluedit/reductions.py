@@ -229,10 +229,10 @@ def materialize_graph(art: CliqueArtifact) -> Graph:
         for v in art.clique_range(*key):
             rows[v] = full ^ (1 << v)
 
-    m = sum(row.bit_count() for row in rows) // 2
-    if m != art.edge_count:
-        raise AssertionError(f"materialized edge count {m} != predicted {art.edge_count}")
-    return Graph(n, tuple(rows), m)
+    g = Graph(tuple(rows))
+    if g.m != art.edge_count:
+        raise AssertionError(f"materialized edge count {g.m} != predicted {art.edge_count}")
+    return g
 
 
 @dataclass
@@ -327,7 +327,7 @@ def witness_clustering(art: CliqueArtifact, wit: CliqueWitness) -> Clustering:
                 assignment[v] = (r - 1) * 6 + (alpha - 1)
     for v, (r, alpha) in wit.cluster_of.items():
         assignment[v] = (r - 1) * 6 + (alpha - 1)
-    return Clustering(tuple(assignment), 6 * art.p)
+    return Clustering(tuple(assignment))
 
 
 # ===========================================================================

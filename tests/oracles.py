@@ -12,7 +12,9 @@ at-most mode with one exact-mode solve per cluster count.
 ``min_cut_leq_dict`` is the max-flow test on a pair-keyed dict residual
 network that the bitmask ``cuts.min_cut_leq`` replaced, and
 ``verify_solution_components`` is the component-scan certificate check
-that ``solver.verify_solution`` replaced with one graph comparison.
+that ``solver.verify_solution`` replaced with one graph comparison, and
+``clique_components_bfs`` is the breadth-first clique-component test that
+``graph.clique_component_masks`` replaced with one hash per closed row.
 """
 from __future__ import annotations
 
@@ -26,9 +28,8 @@ import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from cluedit.graph import (Graph, apply_edits, bits, connected_components,
-                           induced_subgraph, is_cluster_graph)
-from cluedit.preprocess import (Instance, PreprocessOutcome,
-                                clique_component_masks)
+                           induced_subgraph)
+from cluedit.preprocess import Instance, PreprocessOutcome
 from cluedit.solver import Solution, SolveResult, SolveStats, solve_exact_p
 
 
@@ -85,11 +86,28 @@ def best_cost(n, edges, p, mode="exact"):
 
 
 # ---------------------------------------------------------------------------
+# clique components by breadth-first search
+
+def clique_components_bfs(g: Graph) -> list[int]:
+    """Masks of the connected components whose every vertex is adjacent to
+    exactly the rest of the component, in component order."""
+    return [comp for comp in connected_components(g)
+            if all(g.rows[v] == comp ^ (1 << v) for v in bits(comp))]
+
+
+def is_cluster_graph_bfs(g: Graph) -> bool:
+    """True iff each vertex's row is exactly the rest of its connected
+    component, so every component is a clique and no row has its own bit."""
+    return all(g.rows[v] == comp ^ (1 << v)
+               for comp in connected_components(g) for v in bits(comp))
+
+
+# ---------------------------------------------------------------------------
 # preprocessing, one rule firing at a time
 
 def rule1_rejects(g: Graph, p: int, k: int) -> bool:
     """Reject iff fewer than p - 2k components of g are cliques."""
-    return len(clique_component_masks(g)) < p - 2 * k
+    return len(clique_components_bfs(g)) < p - 2 * k
 
 
 def rule2_target(g: Graph, k: int) -> int | None:
@@ -110,7 +128,7 @@ def rule3_target(g: Graph, k: int) -> int | None:
     Fires when at least 2k+1 isolated nontrivial cliques exist; deletes a
     largest one, ties broken towards the smallest contained vertex id.
     """
-    cliques = [c for c in clique_component_masks(g) if c.bit_count() >= 2]
+    cliques = [c for c in clique_components_bfs(g) if c.bit_count() >= 2]
     if len(cliques) < 2 * k + 1:
         return None
     best = cliques[0]
@@ -130,12 +148,10 @@ def preprocess_stepwise(inst: Instance) -> PreprocessOutcome:
     g, p, k, mode = inst.g, inst.p, inst.k, inst.mode
     vmap = list(range(g.n))
     removed: list[tuple[str, tuple[int, ...]]] = []
-    applied: list[str] = []
 
     def delete(mask: int, rule: str) -> None:
         nonlocal g, p, vmap
         removed.append((rule, tuple(vmap[v] for v in bits(mask))))
-        applied.append(rule)
         full = (1 << g.n) - 1
         g, submap = induced_subgraph(g, full ^ mask)
         vmap = [vmap[o] for o in submap]
@@ -143,8 +159,7 @@ def preprocess_stepwise(inst: Instance) -> PreprocessOutcome:
 
     while p > 6 * k:
         if mode == "exact" and rule1_rejects(g, p, k):
-            return PreprocessOutcome(True, "rule1", None, tuple(vmap),
-                                     removed, applied + ["rule1"])
+            return PreprocessOutcome("rule1", None, tuple(vmap), removed)
         target = rule3_target(g, k)
         if target is not None:
             delete(target, "rule3")
@@ -157,11 +172,11 @@ def preprocess_stepwise(inst: Instance) -> PreprocessOutcome:
 
     if p > g.n:
         if mode == "exact":
-            return PreprocessOutcome(True, "p_exceeds_n", None, tuple(vmap),
-                                     removed, applied)
+            return PreprocessOutcome("p_exceeds_n", None, tuple(vmap),
+                                     removed)
         p = g.n
-    return PreprocessOutcome(False, None, Instance(g, p, k, mode),
-                             tuple(vmap), removed, applied)
+    return PreprocessOutcome(None, Instance(g, p, k, mode), tuple(vmap),
+                             removed)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +212,11 @@ def verify_solution_components(inst: Instance, sol: Solution) -> bool:
     and its components are exactly the clusters."""
     if len(sol.clustering.assignment) != inst.g.n or sol.edits.n != inst.g.n:
         return False
-    # the cost is the number of toggled pairs, counted, not the stored m
+    # the cost is the number of pairs edges() lists, not the popcount m
     if sol.cost != len(list(sol.edits.edges())) or sol.cost > inst.k:
         return False
     edited = apply_edits(inst.g, sol.edits)
-    if not is_cluster_graph(edited):
+    if not is_cluster_graph_bfs(edited):
         return False
     comps = connected_components(edited)
     if sorted(comps) != sorted(sol.clustering.cluster_masks()):

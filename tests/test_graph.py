@@ -14,7 +14,8 @@ from cluedit import (Clustering, Graph, apply_edits, cluster_graph_of,
                      clustering_to_edit_set, connected_components,
                      format_graph, induced_subgraph, is_cluster_graph,
                      parse_graph, write_graph)
-from cluedit.graph import MAX_PARSE_VERTICES, bits, mask_of
+from cluedit.graph import (MAX_PARSE_VERTICES, bits, clique_component_masks,
+                           mask_of)
 
 
 def path3() -> Graph:
@@ -119,9 +120,10 @@ def test_clustering_validation():
     with pytest.raises(ValueError, match="cover"):
         Clustering.from_blocks(3, [[0, 1]])
     with pytest.raises(ValueError, match="dense"):
-        Clustering((0, 2), 3)
-    with pytest.raises(ValueError, match="c=0"):
-        Clustering((), 1)
+        Clustering((0, 2))
+    with pytest.raises(ValueError, match="dense"):
+        Clustering((-1, 0))
+    assert Clustering(()).c == 0 and Clustering((1, 0, 1)).c == 2
 
 
 def test_cluster_graph_of_and_edit_set_agree_with_reference():
@@ -258,3 +260,32 @@ def test_edit_graphs_match_pair_sets(case):
         (u, v) for u, v in itertools.combinations(range(n), 2)
         if g.has_edge(u, v) != (a[u] == a[v])]
     assert edits.m == len(list(edits.edges()))
+
+
+@st.composite
+def near_cluster_graphs(draw):
+    """Disjoint cliques under a random vertex order, as they are or with
+    one pair toggled, or a random graph."""
+    kind = draw(st.sampled_from(["cliques", "toggled", "random"]))
+    if kind == "random":
+        return draw(graphs())
+    sizes = draw(st.lists(st.integers(1, 6), max_size=16))
+    n = sum(sizes)
+    order = draw(st.permutations(range(n)))
+    edges, base = set(), 0
+    for size in sizes:
+        block = sorted(order[base:base + size])
+        edges.update(itertools.combinations(block, 2))
+        base += size
+    if kind == "toggled" and n >= 2:
+        pair = draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+        edges ^= {pair}
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_cluster_graphs())
+def test_clique_components_match_bfs_reference(g):
+    # the closed-row count finds the same components, in the same order
+    assert clique_component_masks(g) == oracles.clique_components_bfs(g)
+    assert is_cluster_graph(g) == oracles.is_cluster_graph_bfs(g)

@@ -11,8 +11,7 @@ import oracles
 from cluedit import (Clustering, Graph, Instance, is_cluster_graph,
                      apply_edits, oracle_best_cost, preprocess, lift_clustering,
                      solve_exact_p)
-from cluedit.graph import mask_of
-from cluedit.preprocess import clique_component_masks
+from cluedit.graph import clique_component_masks, mask_of
 from oracles import (preprocess_stepwise, rule1_rejects, rule2_target,
                      rule3_target)
 
@@ -219,7 +218,9 @@ def test_one_pass_matches_stepwise_rules():
 
 
 def test_one_component_pass_whatever_fires(monkeypatch):
-    calls = {"components": 0, "induced": 0}
+    # one clique-component pass when the rules may fire (p > 6k), none
+    # otherwise, no breadth-first search and at most one induced subgraph
+    calls = {"cliques": 0, "components": 0, "induced": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -227,6 +228,9 @@ def test_one_component_pass_whatever_fires(monkeypatch):
             return fn(*args)
         return wrapper
 
+    monkeypatch.setattr(preprocess_module, "clique_component_masks",
+                        counted("cliques",
+                                preprocess_module.clique_component_masks))
     monkeypatch.setattr(preprocess_module, "connected_components",
                         counted("components",
                                 preprocess_module.connected_components))
@@ -239,8 +243,14 @@ def test_one_component_pass_whatever_fires(monkeypatch):
     c3 = sum(c.bit_count() > 1 for c in clique_component_masks(g))
     assert c3 == 300
     for p in (8, 100, 302):
-        calls.update(components=0, induced=0)
+        calls.update(cliques=0, components=0, induced=0)
         out = preprocess(Instance(g, p, k, "exact"))
-        assert calls["components"] == 1 and calls["induced"] <= 1
+        assert calls["cliques"] == 1 and calls["components"] == 0
+        assert calls["induced"] <= 1
         assert out.rules_applied == ["rule3"] * min(c3 - 2 * k, p - 6 * k)
         assert out.instance.p == 6 * k
+    for p in (1, 6 * k):
+        calls.update(cliques=0, components=0, induced=0)
+        out = preprocess(Instance(g, p, k, "exact"))
+        assert calls == {"cliques": 0, "components": 0, "induced": 0}
+        assert out.rules_applied == [] and out.instance.g == g

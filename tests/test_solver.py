@@ -268,12 +268,28 @@ def test_verify_solution_rejects_bad_certificates():
     # clustering or edit graph on another vertex count
     assert not verify_solution(inst, Solution(
         Clustering.from_blocks(4, [[0, 1], [2, 3]]), good.edits, good.cost))
-    wide = Graph(4, good.edits.rows + (0,), good.edits.m)
+    wide = Graph(good.edits.rows + (0,))
     assert not verify_solution(inst, Solution(good.clustering, wide, good.cost))
+    # cost one below the edit count; an edit graph with a bit in one row
+    # only, or with a self-loop bit (both keep m == cost)
+    assert not verify_solution(inst, Solution(good.clustering, good.edits,
+                                              good.edits.m - 1))
+    for u, v in ((2, 0), (1, 1)):
+        bad = _with_bit(good.edits, u, v)
+        assert bad.m == good.cost
+        assert not verify_solution(inst, Solution(good.clustering, bad,
+                                                  good.cost))
     # cluster count differs from p
     assert not verify_solution(Instance(g, 3, 1, "exact"), good)
     # budget exceeded
     assert not verify_solution(Instance(g, 2, 0, "exact"), good)
+
+
+def _with_bit(g: Graph, u: int, v: int) -> Graph:
+    """g with bit v set in row u only."""
+    rows = list(g.rows)
+    rows[u] |= 1 << v
+    return Graph(tuple(rows))
 
 
 def _corruptions(sol: Solution, n: int):
@@ -288,12 +304,16 @@ def _corruptions(sol: Solution, n: int):
     if extra is not None:
         added = Graph.from_edges(n, pairs + [extra])
         yield Solution(sol.clustering, added, added.m)
-    wide = Graph(n + 1, sol.edits.rows + (0,), sol.edits.m)
+    wide = Graph(sol.edits.rows + (0,))
     yield Solution(sol.clustering, wide, sol.cost)
     if sol.cost:
-        # the stored edge count understates the edits
-        short = Graph(n, sol.edits.rows, sol.edits.m - 1)
-        yield Solution(sol.clustering, short, short.m)
+        yield Solution(sol.clustering, sol.edits, sol.edits.m - 1)
+    # rows that are no simple graph but keep m, and so the cost: a bit
+    # without its mirror, or a self-loop bit
+    if extra is not None:
+        yield Solution(sol.clustering, _with_bit(sol.edits, *extra[::-1]),
+                       sol.cost)
+    yield Solution(sol.clustering, _with_bit(sol.edits, 0, 0), sol.cost)
     if len(blocks) >= 2:
         merged = Clustering.from_blocks(n, [blocks[0] + blocks[1]] + blocks[2:])
         yield Solution(merged, sol.edits, sol.cost)
@@ -319,9 +339,9 @@ def test_verify_solution_matches_component_reference():
             assert oracles.verify_solution_components(inst, res.solution)
             for bad in _corruptions(res.solution, n):
                 for probe in (inst, Instance(g, inst.p, inst.k + 1, mode)):
-                    got = verify_solution(probe, bad)
-                    assert got == oracles.verify_solution_components(probe, bad)
-                    rejected += not got
+                    assert not verify_solution(probe, bad)
+                    assert not oracles.verify_solution_components(probe, bad)
+                    rejected += 1
     assert yes >= 40 and rejected >= 100
 
 
