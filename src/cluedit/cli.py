@@ -9,8 +9,10 @@ its `ValueError` into exit 2.
 Exit codes: 0 for YES (or generator success), 1 for a proven NO,
 2 for usage or input errors and for internal failures (any other
 exception, such as a certificate that fails self-verification), 3 for
-unknown: `solve` gave up under a `--cap` below the counting bound, where
-an abort proves nothing, or `cuts` stopped listing at its `--cap`.
+unknown: `solve` gave up under a `--cap` below the counting bound
+B(p, 2k) of `cut_count_bound`, where an abort proves nothing, or `cuts`
+stopped listing at its `--cap`.  Without `--cap`, `solve` stops at B,
+which is finite for every p and k, so its aborts are proven NOs (exit 1).
 Reports go to stdout as JSON with a `schema` field; wall time goes to
 stderr so stdout stays deterministic.
 """
@@ -25,7 +27,7 @@ from pathlib import Path
 
 from .bruteforce import oracle_best_cost
 from .cnf import parse_assignment, read_dimacs
-from .cuts import UNBOUNDED, cut_count_bound, enumerate_k_cuts
+from .cuts import cut_count_bound, enumerate_k_cuts
 from .graph import read_graph, write_graph
 from .preprocess import Instance
 from .reductions import (MATERIALIZE_VERTEX_LIMIT, build_eth,
@@ -102,8 +104,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_cuts(args) -> int:
     g = read_graph(args.graph)
-    cap = args.cap if args.cap is not None else UNBOUNDED
-    cuts = enumerate_k_cuts(g, args.k, cap)
+    cuts = enumerate_k_cuts(g, args.k, args.cap)
     if cuts is None:
         print(f"error: enumeration aborted, more than {args.cap} cuts",
               file=sys.stderr)
@@ -111,9 +112,10 @@ def cmd_cuts(args) -> int:
     if args.count_only:
         out: dict = {"count": len(cuts)}
         if args.p is not None:
-            bound = cut_count_bound(args.p, args.k)
-            out["bound"] = "unbounded" if bound == UNBOUNDED else bound
-            out["within_bound"] = True if bound == UNBOUNDED else len(cuts) <= bound
+            # a graph on n vertices is within k edits of at most n cliques,
+            # so p past n changes nothing but the size of the number
+            out["bound"] = bound = cut_count_bound(min(args.p, g.n), args.k)
+            out["within_bound"] = len(cuts) <= bound
         _emit(out)
     else:
         for mask, crossing in zip(cuts.masks, cuts.crossing):
@@ -202,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(exit 3, nothing printed)")
     sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--p", type=int, default=None,
-                    help="compare the count against the p,k cut bound")
+                    help="compare the count against the cut bound "
+                         "B(min(p, n), 2k)")
     sp.set_defaults(func=cmd_cuts)
 
     sp = sub.add_parser("reduce", help="generate hardness instances from CNF")

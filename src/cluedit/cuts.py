@@ -9,14 +9,18 @@ test shows that no completion stays within k, so every surviving branch
 emits at least one cut (polynomial delay).  The max-flow works on the
 graph's bitmask rows: its residual network is one int per vertex and each
 breadth-first layer is one mask.
+
+The cap on the number of k-cuts is exact counting, finite for every p and
+k: a YES instance is a cluster graph H of at most p cliques with at most k
+pairs toggled, so each of its k-cuts crosses at most 2k edges of H, and
+`cut_count_bound` counts the ways to cut p cliques across at most 2k of
+their edges.  More k-cuts than that proves the instance NO.
 """
 from __future__ import annotations
 
-import decimal
 import functools
-import math
 from dataclasses import dataclass, field
-from math import isqrt
+from math import comb
 
 import numpy as np
 
@@ -26,8 +30,6 @@ from .graph import Graph, bits
 # branching with max-flow tests: far cheaper per kernel while 2^n is small,
 # and past it the table's time and memory outgrow the flow search
 _FILTER_N = 16
-
-UNBOUNDED = math.inf
 
 
 def min_cut_leq(g: Graph, a: int, b: int, k: int) -> bool:
@@ -116,21 +118,21 @@ class CutIndex:
         return len(self.masks)
 
 
-def enumerate_k_cuts(g: Graph, k: int, cap: float = UNBOUNDED) -> CutIndex | None:
+def enumerate_k_cuts(g: Graph, k: int, cap: int | None = None) -> CutIndex | None:
     """Enumerate every ordered k-cut of g exactly once, or abort.
 
-    Returns None when there are more than *cap* cuts.  The cuts come
-    sorted by (side-1 size, side-1 mask), whichever route finds them.  Up
-    to ``_FILTER_N`` vertices nothing branches: every mask is scored
-    against ``m - e(S) - e(V - S) <= k``.  Beyond, a branching over the
-    vertices in descending-degree order (ties by id) runs on an explicit
-    stack and keeps a child only if ``min_cut_leq`` finds a completion
-    within k.  The degree order only steers the pruning: high-degree
+    Returns None when there are more than *cap* cuts; cap None lists
+    them all.  The cuts come sorted by (side-1 size, side-1 mask),
+    whichever route finds them.  Up to ``_FILTER_N`` vertices nothing
+    branches: every mask is scored against ``m - e(S) - e(V - S) <= k``.
+    Beyond, a branching over the vertices in descending-degree order (ties
+    by id) runs on an explicit stack and keeps a child only if
+    ``min_cut_leq`` finds a completion within k.  The degree order only steers the pruning: high-degree
     vertices placed first make the flow test bite early.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if cap != UNBOUNDED and cap < 1:
+    if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
     n = g.n
     stats = EnumStats()
@@ -138,7 +140,7 @@ def enumerate_k_cuts(g: Graph, k: int, cap: float = UNBOUNDED) -> CutIndex | Non
         inside = edges_inside_table(g)
         crossing = g.m - inside - inside[::-1]
         masks = np.flatnonzero(crossing <= k)  # ascending
-        if masks.size > cap:
+        if cap is not None and masks.size > cap:
             return None
         masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
         stats.explored = 1 << n
@@ -155,7 +157,7 @@ def enumerate_k_cuts(g: Graph, k: int, cap: float = UNBOUNDED) -> CutIndex | Non
         depth, side1, side2, crossing = stack.pop()
         if depth == n:
             found.append((side1, crossing))
-            if len(found) > cap:
+            if cap is not None and len(found) > cap:
                 return None
             continue
         v = order[depth]
@@ -177,39 +179,46 @@ def enumerate_k_cuts(g: Graph, k: int, cap: float = UNBOUNDED) -> CutIndex | Non
 
 
 # ---------------------------------------------------------------------------
-# counting bounds
-
-# 30 significant digits, far more than the bound's values need (see
-# cut_count_bound); one fixed context, so no caller's decimal settings leak in
-_BOUND_CONTEXT = decimal.Context(prec=30)
+# counting bound
 
 
-def cut_count_bound(p: int, k: int) -> int | float:
-    """ceil(2**(8*sqrt(2*p*k))), the enumeration cap for a p/k instance.
+@functools.cache
+def cut_count_bound(p: int, k: int) -> int:
+    """B(p, 2k), the enumeration cap for a p/k instance: no graph within k
+    edits of a cluster graph on at most p cliques has more k-cuts.
 
-    Returns UNBOUNDED (math.inf) once the exponent exceeds 63; the caller
-    then enumerates uncapped.  Monotone in p and k.
+    Let G = H xor F, where H is a cluster graph of p' <= p cliques and
+    |F| <= k.  A k-cut of G crosses at most k edges of G and at most k
+    deleted ones, so at most 2k edges of H.  A cut putting a of the s
+    vertices of a clique on side 1 crosses a(s - a) of its edges, so it
+    crosses x_i edges of clique i in at most f(x_i) ways, where f(0) = 2
+    and for x >= 1 f(x) is the largest, over s, of the sum of C(s, a) over
+    the 1 <= a < s with a(s - a) = x (only s <= x + 1 contributes).  Hence
 
-    With t = 2pk the cap is finite only for 64t <= 63**2, so t is even and
-    at most 62: the function has exactly 32 finite values.  A perfect
-    square t gives an exact power of two.  For the others 2**(8*sqrt(t)) is
-    irrational and lies at least 0.0249 from an integer (closest at t = 8),
-    while below 2**63 < 10**19 a 30-digit decimal evaluation errs by under
-    10**-8, so its ceiling is exact.
+        #k-cuts(G) <= B(p', 2k) = sum over x in N^p' with sum x <= 2k
+                                  of prod f(x_i),
+
+    and B is monotone in p because f(0) >= 1, so one cap also serves
+    at-most mode.  The sum runs over j, the number of cliques a cut
+    splits: j <= 2k since each split crosses an edge, and each of the
+    other p - j cliques contributes f(0) = 2.  So
+    B(p, t) = sum over j of C(p, j) f(0)^(p-j) S_j(t), where S_j(t) sums
+    prod f(x_i) over the x in {1, 2, ..}^j with sum x <= t: O(k^3)
+    big-int steps whatever p is.
     """
     if p < 0 or k < 0:
         raise ValueError("need p, k >= 0")
-    t = 2 * p * k
-    if 64 * t > 63 * 63:  # (8*sqrt(t))^2 > 63^2
-        return UNBOUNDED
-    return _finite_bound(t)
-
-
-@functools.cache  # at most 32 keys
-def _finite_bound(t: int) -> int:
-    s = isqrt(t)
-    if s * s == t:
-        return 1 << 8 * s
-    ctx = _BOUND_CONTEXT
-    power = ctx.power(2, ctx.multiply(8, ctx.sqrt(t)))
-    return int(power.to_integral_value(rounding=decimal.ROUND_CEILING))
+    t = 2 * k
+    f = [2] + [0] * t
+    for s in range(2, t + 2):
+        ways = [0] * (t + 1)
+        for a in range(1, s):
+            if a * (s - a) <= t:
+                ways[a * (s - a)] += comb(s, a)
+        f = list(map(max, f, ways))
+    split = [1] + [0] * t  # split[x]: the part of S_j from sums exactly x
+    total = 0
+    for j in range(min(p, t) + 1):
+        total += comb(p, j) * f[0] ** (p - j) * sum(split)
+        split = [sum(split[i] * f[x - i] for i in range(x)) for x in range(t + 1)]
+    return total

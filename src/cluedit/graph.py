@@ -32,13 +32,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.

@@ -5,10 +5,13 @@ prefix bipartitions (X_1 u .. u X_j, rest), each of which must be a k-cut:
 every crossing edge of a prefix is deleted by the solution.  Conversely any
 chain of p nested cuts from (empty, V) to (V, empty) spells out a
 clustering whose cost telescopes over the chain.  So the solver enumerates
-the k-cut space, caps it with the subexponential counting bound (abort
-means NO), and runs a shortest-chain DP with p layers.  A user cap below
-that bound proves nothing when it is exceeded, so such an abort answers
-unknown.
+the k-cut space and runs a shortest-chain DP with p layers.  The
+enumeration stops at the counting bound `cut_count_bound(p, k)`, finite
+for every p and k: every k-cut of a YES instance crosses at most 2k edges
+of its target cluster graph, and no more than B(p, 2k) cuts of p cliques
+do that.  So an abort at the bound is a proven NO, and every
+``aborted`` NO is backed by it.  A user cap below the bound proves
+nothing when it is exceeded, so such an abort answers unknown.
 
 At-most mode runs the same pipeline once.  Layer j of the DP at the full
 vertex set is the optimum for exactly j clusters, so the answer is the
@@ -240,7 +243,7 @@ def _no(stats: SolveStats) -> SolveResult:
     return SolveResult(False, None, stats)
 
 
-def solve_exact_p(inst: Instance, cap: float | None = None) -> SolveResult:
+def solve_exact_p(inst: Instance, cap: int | None = None) -> SolveResult:
     """Decide whether <= k edits reach a cluster graph with exactly p cliques.
 
     Pipeline: reduction rules, cut enumeration capped by the counting bound
@@ -253,7 +256,7 @@ def solve_exact_p(inst: Instance, cap: float | None = None) -> SolveResult:
     return _solve(inst, cap)
 
 
-def solve_at_most_p(inst: Instance, cap: float | None = None) -> SolveResult:
+def solve_at_most_p(inst: Instance, cap: int | None = None) -> SolveResult:
     """Decide whether <= k edits reach a cluster graph with at most p cliques.
 
     The same pipeline as `solve_exact_p`; its one DP reads the cheapest of
@@ -264,7 +267,7 @@ def solve_at_most_p(inst: Instance, cap: float | None = None) -> SolveResult:
     return _solve(inst, cap)
 
 
-def _solve(inst: Instance, cap: float | None) -> SolveResult:
+def _solve(inst: Instance, cap: int | None) -> SolveResult:
     if cap is not None and cap < 1:
         # checked before preprocessing, which can answer without enumerating
         raise ValueError("cap must be >= 1")

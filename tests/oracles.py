@@ -34,6 +34,17 @@ from cluedit.solver import Solution, SolveResult, SolveStats, solve_exact_p
 
 
 # ---------------------------------------------------------------------------
+# vertex masks
+
+def mask_of(vertices) -> int:
+    """The vertex mask with bit v set for each v in *vertices*."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+# ---------------------------------------------------------------------------
 # set partitions and editing cost
 
 def partitions(items):

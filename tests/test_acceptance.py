@@ -20,7 +20,7 @@ from test_regularize import pushforward_checks, scan_invariants
 
 from cluedit.bruteforce import oracle_best_cost
 from cluedit.cnf import CnfFormula, falsified_clause, format_dimacs
-from cluedit.cuts import enumerate_k_cuts
+from cluedit.cuts import cut_count_bound, enumerate_k_cuts
 from cluedit.graph import Graph, apply_edits, cluster_graph_of, format_graph
 from cluedit.preprocess import Instance, preprocess
 from cluedit.reductions import (attachment_counts, budget_summands, build_eth,
@@ -231,7 +231,7 @@ def test_criterion_2_preprocess_equivalence():
 # criterion 3
 
 
-@criterion(3, "cut counts stay under the square-root bounds")
+@criterion(3, "cut counts stay under the counting bound and the square-root bounds")
 def test_criterion_3_cut_bounds():
     t0 = time.perf_counter()
     for a in range(31):
@@ -246,6 +246,7 @@ def test_criterion_3_cut_bounds():
         g = Graph.from_edges(n, oracles.blocks_to_edges(blocks))
         count = len(enumerate_k_cuts(g, k))
         assert oracles.leq_pow2_sqrt(count, 8, p * k), (n, p, k, count)
+        assert count <= cut_count_bound(p, k), (n, p, k, count)
     for _ in range(100):                      # planted YES instances
         k = rng.randint(1, 4)
         p = rng.randint(1, 4)
@@ -256,6 +257,7 @@ def test_criterion_3_cut_bounds():
         g = Graph.from_edges(n, edges)
         count = len(enumerate_k_cuts(g, k))
         assert oracles.leq_pow2_sqrt(count, 8, 2 * p * k), (n, p, k, count)
+        assert count <= cut_count_bound(p, k), (n, p, k, count)
     elapsed = time.perf_counter() - t0
     criterion_note(3, f"{elapsed:.0f}s")
     assert elapsed < 180

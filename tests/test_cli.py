@@ -171,7 +171,7 @@ PINNED_STDOUT = {
     ("solve", "json", "exact"):
         "e4f9cba6cae635affb14edd2718618bf555539ebbfa73f4b5677cd52a95a88d5",
     ("solve", "json", "at-most"):
-        "81f0e9cb3818627871a08624e43fdba7eca5650892bf09228030d6cad40de785",
+        "e82f5df7836ba9beb10fd62551297c0b6de058dad3f2f0a0e50a6e687ed31156",
     ("solve", "text", "exact"):
         "e882cb52cac487e43f0b86a17a4d859295b6d6252b12a7cc713dc59b91ee9cc7",
     ("solve", "text", "at-most"):
@@ -256,18 +256,33 @@ def test_cuts_count_only_with_bound(graph_file):
                   "--count-only", "--p", "2")
     assert res.returncode == 0
     out = json.loads(res.stdout)
-    assert out == {"schema": 1, "count": 2, "bound": 65536,
+    assert out == {"schema": 1, "count": 2, "bound": 40,
                    "within_bound": True}
 
 
-def test_cuts_count_only_unbounded(graph_file):
-    res = run_cli("cuts", graph_file(TRIANGLE), "--k", "4",
+def test_cuts_count_only_bound_finite_for_large_pk(graph_file):
+    # 2pk = 64 is past where 2^(8 sqrt(2pk)) fits 63 bits; B stays an int
+    res = run_cli("cuts", graph_file(Graph.empty(8)), "--k", "4",
                   "--count-only", "--p", "8")
     assert res.returncode == 0
     out = json.loads(res.stdout)
-    assert out["count"] == 8
-    assert out["bound"] == "unbounded"
-    assert out["within_bound"] is True
+    assert out == {"schema": 1, "count": 256, "bound": 48242176,
+                   "within_bound": True}
+    # p beyond n is read as n: B(10**6, 2) alone would have 300000 digits
+    res = run_cli("cuts", graph_file(TRIANGLE), "--k", "1",
+                  "--count-only", "--p", str(10 ** 6))
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["bound"] == 128  # B(3, 1)
+
+
+def test_cuts_bound_at_k0_counts_every_clique_whole(graph_file):
+    # two cliques have 2^2 cuts of crossing 0, all within the bound
+    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+    res = run_cli("cuts", graph_file(two_edges), "--k", "0",
+                  "--count-only", "--p", "2")
+    assert res.returncode == 0
+    out = json.loads(res.stdout)
+    assert out == {"schema": 1, "count": 4, "bound": 4, "within_bound": True}
 
 
 def test_cuts_on_a_long_path(graph_file):

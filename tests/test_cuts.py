@@ -2,17 +2,15 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
-import mpmath
 import pytest
 
 import oracles
-from cluedit import (Graph, UNBOUNDED, cut_count_bound, edges_inside_table,
+from oracles import mask_of
+from cluedit import (Graph, cut_count_bound, edges_inside_table,
                      enumerate_k_cuts, min_cut_leq)
 from cluedit import cuts
-from cluedit.graph import mask_of
 
 
 def triangle() -> Graph:
@@ -66,7 +64,7 @@ def test_filter_route_matches_flow_route(monkeypatch):
         graphs.append(Graph.from_edges(
             n, oracles.random_edges(rng, n, rng.uniform(0.1, 0.9))))
     cases = [(g, k, cap) for g in graphs for k in range(5)
-             for cap in (40, UNBOUNDED)]
+             for cap in (40, None)]
     runs = []
     for filter_n in (cuts._FILTER_N, -1):
         monkeypatch.setattr(cuts, "_FILTER_N", filter_n)
@@ -205,39 +203,46 @@ def test_edges_inside_table():
 
 
 def test_cut_count_bound_frozen_values():
-    assert cut_count_bound(2, 1) == 65536          # exponent 8*sqrt(4) = 16
-    assert cut_count_bound(1, 1) == 2546           # ceil(2**(8*sqrt(2)))
-    assert cut_count_bound(2, 4) == 1 << 32
-    assert cut_count_bound(0, 5) == 1
-    assert cut_count_bound(3, 0) == 1
-    assert cut_count_bound(8, 8) == UNBOUNDED      # exponent 8*sqrt(128) > 63
-    assert math.isinf(UNBOUNDED)
+    # k = 0: p cliques have 2^p cuts of crossing 0
+    assert [cut_count_bound(p, 0) for p in (1, 2, 3)] == [2, 4, 8]
+    assert cut_count_bound(0, 5) == 1              # the empty graph's one cut
+    assert cut_count_bound(1, 1) == 10             # f(0) + f(1) + f(2) = 2 + 2 + 6
+    assert cut_count_bound(2, 1) == 40
+    assert cut_count_bound(2, 4) == 1864
+    assert cut_count_bound(4, 4) == 118384
+    assert cut_count_bound(8, 8) == 55329212160    # about 2^35.7
     with pytest.raises(ValueError):
         cut_count_bound(-1, 2)
 
 
-def test_cut_count_bound_against_high_precision():
-    # p = 1, k = 0..32 runs t = 2pk over all 32 finite values (t = 0..62)
-    # and reaches the first UNBOUNDED one at t = 64
-    grid = {(p, k) for p in range(5) for k in range(5)}
-    grid |= {(1, k) for k in range(33)}
-    finite = set()
-    with mpmath.workdps(80):
-        for p, k in sorted(grid):
-            got = cut_count_bound(p, k)
-            exponent = 8 * mpmath.sqrt(2 * p * k)
-            if exponent > 63:
-                assert got == UNBOUNDED, (p, k)
-                continue
-            expect = int(mpmath.ceil(mpmath.power(2, exponent)))
-            assert type(got) is int and got == expect, (p, k)
-            finite.add(got)
-    assert len(finite) == 32
-    assert cut_count_bound(1, 32) == UNBOUNDED
+def test_cut_count_bound_covers_cluster_graphs():
+    # a cluster graph of p cliques is a YES instance at any k, and its
+    # cuts crossing at most 2k edges are exactly what the bound counts
+    tight = 0
+    for p in range(1, 4):
+        for sizes in itertools.combinations_with_replacement(range(1, 7), p):
+            blocks, start = [], 0
+            for size in sizes:
+                blocks.append(range(start, start + size))
+                start += size
+            g = Graph.from_edges(start, oracles.blocks_to_edges(blocks))
+            for k in range(4):
+                count = len(enumerate_k_cuts(g, 2 * k))
+                assert count <= cut_count_bound(p, k), (sizes, k)
+                tight += count == cut_count_bound(p, k)
+    assert tight == 83  # of 332 cases: B is the exact maximum where it can be
+
+
+def test_cut_count_bound_below_paper_bound():
+    # the paper's cap ceil(2^(8 sqrt(2pk))); at k = 0 it is 1, below 2^p
+    for p in range(17):
+        for k in range(1, 17):
+            assert oracles.leq_pow2_sqrt(cut_count_bound(p, k), 8, 2 * p * k), (p, k)
 
 
 def test_cut_count_bound_monotone():
-    for p in range(5):
-        for k in range(5):
+    for p in range(9):
+        for k in range(9):
+            assert type(cut_count_bound(p, k)) is int
             assert cut_count_bound(p, k) <= cut_count_bound(p + 1, k)
             assert cut_count_bound(p, k) <= cut_count_bound(p, k + 1)

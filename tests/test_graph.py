@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import mask_of
 from cluedit import (Clustering, Graph, apply_edits, cluster_graph_of,
                      clustering_to_edit_set, connected_components,
                      format_graph, induced_subgraph, is_cluster_graph,
                      parse_graph, write_graph)
-from cluedit.graph import (MAX_PARSE_VERTICES, bits, clique_component_masks,
-                           mask_of)
+from cluedit.graph import MAX_PARSE_VERTICES, bits, clique_component_masks
 
 
 def path3() -> Graph:

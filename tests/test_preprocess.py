@@ -11,8 +11,8 @@ import oracles
 from cluedit import (Clustering, Graph, Instance, is_cluster_graph,
                      apply_edits, oracle_best_cost, preprocess, lift_clustering,
                      solve_exact_p)
-from cluedit.graph import clique_component_masks, mask_of
-from oracles import (preprocess_stepwise, rule1_rejects, rule2_target,
+from cluedit.graph import clique_component_masks
+from oracles import (mask_of, preprocess_stepwise, rule1_rejects, rule2_target,
                      rule3_target)
 
 # the package re-exports a function named preprocess that hides the module

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import mask_of
 from cluedit import (Clustering, Graph, Instance, Solution,
                      enumerate_k_cuts, solve_at_most_p, solve_exact_p,
                      verify_solution)
 from cluedit import solver
-from cluedit.graph import bits, mask_of
+from cluedit.graph import bits
 from cluedit.solver import (SolveResult, SolveStats, _dp_numpy, _dp_python,
                             arc_cost, result_to_dict)
 
