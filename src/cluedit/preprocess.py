@@ -26,18 +26,19 @@ re-scan of the graph: each deletion removes one clique component and lowers
 p by one, and no deletion makes a new clique component.  So the number of
 clique components minus p never changes and Rule 1 needs checking only
 once, on entry.  The deletions are then fixed by one pass over the clique
-components (`clique_component_masks`, one OR and one hash per row): the
-nontrivial cliques from largest to smallest, then the isolated vertices by
-id, each rule for as long as its 2k+1 threshold and p' > 6k allow.  One
-``induced_subgraph`` builds the kernel.  Apart from sorting the cliques by
-size this is O(n + m) row operations.
+components (`clique_component_masks`, one OR and one hash per row, which
+also lists each component's vertices): the nontrivial cliques from largest
+to smallest, then the isolated vertices by id, each rule for as long as its
+2k+1 threshold and p' > 6k allow.  One ``induced_subgraph`` builds the
+kernel.  Apart from sorting the cliques by size this is O(n + m) row
+operations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 # connected_components is not used here; bench/spans.py patches it by name
-from .graph import (Clustering, Graph, bits, clique_component_masks,
+from .graph import (Clustering, Graph, clique_component_masks,
                     connected_components, induced_subgraph)
 
 
@@ -111,7 +112,7 @@ def preprocess(inst: Instance) -> PreprocessOutcome:
         for rule, pool in (("rule3", nontrivial), ("rule2", singletons)):
             fire = min(max(0, len(pool) - 2 * k), p - 6 * k)
             for c in pool[:fire]:
-                removed.append((rule, tuple(bits(c))))
+                removed.append((rule, tuple(cliques[c])))
                 keep ^= c
             p -= fire
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from cluedit import (Clustering, Graph, apply_edits, cluster_graph_of,
                      clustering_to_edit_set, connected_components,
                      format_graph, induced_subgraph, is_cluster_graph,
                      parse_graph, write_graph)
+import cluedit.graph as graph_module
 from cluedit.graph import MAX_PARSE_VERTICES, bits, clique_component_masks
 
 
@@ -148,6 +150,18 @@ def test_induced_subgraph():
     assert list(sub.edges()) == [(0, 1), (1, 2)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 70), st.randoms(use_true_random=False),
+       st.sampled_from([1, 7, 64, 1 << 22]))
+def test_induced_subgraph_matches_bitwise_reference(n, rnd, block_bytes):
+    # the same graph and id map as the bit-by-bit build, whether the kept
+    # rows fit one block or take one block each
+    g = Graph.from_edges(n, oracles.random_edges(rnd, n, rnd.random()))
+    keep = mask_of(v for v in range(n) if rnd.random() < 0.6)
+    with mock.patch.object(graph_module, "_BLOCK_BYTES", block_bytes):
+        assert induced_subgraph(g, keep) == oracles.induced_subgraph_bits(g, keep)
+
+
 def test_format_and_parse_roundtrip():
     g = Graph.from_edges(4, [(0, 2), (1, 3)])
     text = format_graph(g)
@@ -196,10 +210,79 @@ def test_pace_edge_lines_roundtrip():
     ("", "missing header"),
     ("p cep 99999999999 0\n", "exceed the limit of 10000000"),
     (f"p cep {MAX_PARSE_VERTICES + 1} 0\n", "exceed the limit"),
+    # canonical texts that break a rule: the bulk reader leaves them to the
+    # line reader, which names the line
+    ("p cep 5 6\ne 1 2\ne 1 3\ne 1 4\ne 1 5\ne 2 3\ne 2 1\n",
+     "line 7: duplicate edge"),
+    ("p cep 3 1\ne 2 2\n", "line 2: vertex out of range"),
+    ("p cep 3 1\ne 0 1\n", "line 2: vertex out of range"),
+    ("p cep 3 1\ne 1 4\n", "line 2: vertex out of range"),
+    ("p cep 3 1\ne 1 123456789\n", "line 2: vertex out of range"),
+    pytest.param("p cep 3 1\ne 1 " + "1" * 5000 + "\n", "line 2: malformed edge",
+                 id="5000-digit id"),
+    ("p cep 3 2\ne 1 2\n", "header claims 2 edges, found 1"),
+    ("p cep 3 0\ne 1 2\n", "header claims 0 edges, found 1"),
 ])
 def test_parse_graph_errors(text, message):
+    # the bulk reader takes none of these, whatever the text's length
+    assert graph_module._parse_canonical(text) is None
     with pytest.raises(ValueError, match=message):
         parse_graph(text)
+
+
+# edge lines that break a rule the bulk reader checks, ids longer than it
+# reads, and lines only the line reader takes
+DAMAGE = st.one_of(
+    st.builds("e {} {}".format, st.integers(0, 42), st.integers(0, 42)),
+    st.sampled_from(["e 1 000000002", "e 1 123456789", "e 1 " + "9" * 5000,
+                     "e 1 " + "1" * 19, "1 2", "e 1 2 ", "e  1 2", "e 1 2\r",
+                     "c note", "", "p cep 3 0", "p cep 40 0"]),
+)
+
+
+@st.composite
+def damaged_canonical_texts(draw):
+    """(g, text, damage): g a random graph on at most 40 vertices, text its
+    format_graph output as it is (damage None) or with its header counts
+    moved or one line inserted, replaced or dropped."""
+    n = draw(st.integers(0, 40))
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.05, 0.3, 0.9]))
+    g = Graph.from_edges(n, oracles.random_edges(rnd, n, density))
+    lines = format_graph(g).splitlines()
+    damage = draw(st.sampled_from([None, "header", "insert", "replace",
+                                   "drop"]))
+    if damage == "header":
+        lines[0] = (f"p cep {n + draw(st.integers(-1, 1))} "
+                    f"{g.m + draw(st.integers(-1, 1))}")
+    elif damage is not None:
+        at = draw(st.integers(0, len(lines) - (damage != "insert")))
+        lines[at:at + (damage != "insert")] = (
+            [] if damage == "drop" else [draw(DAMAGE)])
+    return g, "\n".join(lines) + "\n", damage
+
+
+def _graph_or_message(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_canonical_texts())
+def test_bulk_and_line_readers_agree(case):
+    # the bulk reader takes every text format_graph writes, and any graph it
+    # gives is the line reader's; parse_graph, whichever reader it picks by
+    # length, gives the line reader's graph or error message
+    g, text, damage = case
+    bulk = graph_module._parse_canonical(text)
+    lines = _graph_or_message(graph_module._parse_lines, text)
+    if damage is None:
+        assert bulk == g
+    if bulk is not None:
+        assert bulk == lines
+    assert _graph_or_message(parse_graph, text) == lines
 
 
 @st.composite
@@ -286,6 +369,9 @@ def near_cluster_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(near_cluster_graphs())
 def test_clique_components_match_bfs_reference(g):
-    # the closed-row count finds the same components, in the same order
-    assert clique_component_masks(g) == oracles.clique_components_bfs(g)
+    # the closed-row grouping finds the same components, in the same order,
+    # each with its vertices in ascending order
+    cliques = clique_component_masks(g)
+    assert list(cliques) == oracles.clique_components_bfs(g)
+    assert all(vs == list(bits(c)) for c, vs in cliques.items())
     assert is_cluster_graph(g) == oracles.is_cluster_graph_bfs(g)

@@ -36,10 +36,12 @@ def triangles(t):
 
 def test_clique_component_masks():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4), (2, 4)])
-    assert clique_component_masks(g) == [mask_of([0, 1]), mask_of([2, 3, 4]),
-                                         mask_of([5])]
+    # each component's mask and ascending vertices, by smallest vertex
+    assert list(clique_component_masks(g).items()) == [
+        (mask_of([0, 1]), [0, 1]), (mask_of([2, 3, 4]), [2, 3, 4]),
+        (mask_of([5]), [5])]
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert clique_component_masks(path) == []
+    assert clique_component_masks(path) == {}
 
 
 def test_rule_targets():
