@@ -1,17 +1,17 @@
 """Exact (p-)cluster-editing decision via dynamic programming over cuts.
 
-A solution with clusters X_1..X_p (ordered by enumeration) induces the
-prefix bipartitions (X_1 u .. u X_j, rest), each of which must be a k-cut:
-every crossing edge of a prefix is deleted by the solution.  Conversely any
-chain of p nested cuts from (empty, V) to (V, empty) spells out a
-clustering whose cost telescopes over the chain.  So the solver enumerates
-the k-cut space and runs a shortest-chain DP with p layers.  The
-enumeration stops at the counting bound `cut_count_bound(p, k)`, finite
-for every p and k: every k-cut of a YES instance crosses at most 2k edges
-of its target cluster graph, and no more than B(p, 2k) cuts of p cliques
-do that.  So an abort at the bound is a proven NO, and every
-``aborted`` NO is backed by it.  A user cap below the bound proves
-nothing when it is exceeded, so such an abort answers unknown.
+A solution with clusters X_1..X_p induces the prefix bipartitions
+(X_1 u .. u X_j, rest), each of which must be a k-cut: every crossing edge
+of a prefix is deleted by the solution.  Conversely any chain of p nested
+cuts from (empty, V) to (V, empty) spells out a clustering whose cost
+telescopes over the chain.  So the solver enumerates the k-cut space and
+runs a shortest-chain DP with p layers.  The enumeration stops at the
+counting bound `cut_count_bound(p, k)`, finite for every p and k: every
+k-cut of a YES instance crosses at most 2k edges of its target cluster
+graph, and no more than B(p, 2k) cuts of p cliques do that.  So an abort
+at the bound is a proven NO, and every ``aborted`` NO is backed by it.  A
+user cap below the bound proves nothing when it is exceeded, so such an
+abort answers unknown.
 
 At-most mode runs the same pipeline once.  Layer j of the DP at the full
 vertex set is the optimum for exactly j clusters, so the answer is the
@@ -20,6 +20,18 @@ serves every layer: after preprocessing, a solution of the kernel has at
 most min(p, 6k) clusters (at most 2k of them touch an edit, the rest are
 clique components, and past 6k the rules leave at most 4k of those), and
 the counting bound is monotone in p.
+
+Canonical chains.  A clustering with q clusters is spelled by q! chains,
+one per cluster order, and the DP walks only one of them: the clusters
+listed by their lowest vertex.  On it, each arc S_i -> S_j adds a cluster
+Delta = S_j - S_i that holds the lowest vertex outside S_i, and every
+nonempty cut holds vertex 0.  Each clustering has exactly one chain that
+obeys this rule, since the rule fixes which cluster comes next, and its
+prefixes are unions of clusters, so they are k-cuts whenever the
+clustering costs at most k.  Hence the optimum of every layer at V is the
+one over all chains, in both modes, while the DP keeps only the empty cut
+and the cuts holding vertex 0 (half of the others, as the cut list is
+closed under complement) and only the arcs that obey the rule.
 
 Arc costs.  Let B be the 0/1 cut-membership matrix (row i holds side-1
 S_i), A the adjacency matrix, D = B A and X = B D^T, so that
@@ -32,8 +44,8 @@ Delta and S_i and adds the missing pairs inside Delta:
 
 Only arcs of cost <= k can lie on a chain within budget, so the DP keeps
 just those arcs and relaxes its p layers over that list.  Few pairs
-survive: on the benchmark's planted_dense kernels 17% of the scored pairs
-are nested and 4% become arcs.
+survive: on the benchmark's 60 planted_dense reference kernels 19% of the
+10.3M scored pairs are nested and 2.6% become arcs.
 
 Tie-break.  Among the minimum-cost predecessors of a cut in a layer, the
 one with the smallest index in the cut list wins.  Cut indices follow
@@ -107,7 +119,8 @@ def _membership(masks, n: int) -> np.ndarray:
 
 
 def _cheap_arcs(g: Graph, masks: list[int], k: int):
-    """Every arc i -> j with S_i a proper subset of S_j and cost <= k.
+    """Every arc i -> j with S_i a proper subset of S_j, the lowest vertex
+    outside S_i in S_j, and cost <= k.
 
     Returns integer arrays (src, dst, cost) sorted by dst, then src.  The
     masks are sorted by size, so the targets of one size are scored
@@ -125,11 +138,15 @@ def _cheap_arcs(g: Graph, masks: list[int], k: int):
     raveled, the positions with val <= k are found in row-major order, and
     division by the source count `top` splits each position into its
     target row and source column, so the order is by target, then source.
+    Of these, the arcs whose target row of B holds the first zero of the
+    source row are kept.
     """
     n = g.n
     if n == 0:                                      # one cut, no arcs
         return (np.zeros(0, dtype=np.int64),) * 3
     b = _membership(masks, n)
+    # the lowest vertex outside each S_i; V, which has none, is no source
+    low = b.argmin(axis=1)
     d = b @ _membership(g.rows, n)
     x_self = np.einsum("ij,ij->i", b, d)           # X_ii = 2 e(S_i)
     size = b.sum(axis=1)
@@ -148,9 +165,11 @@ def _cheap_arcs(g: Graph, masks: list[int], k: int):
             val = (right[lo:min(lo + step, end)] @ sources).ravel()
             flat = np.flatnonzero(val <= k)
             j, i = np.divmod(flat, top)
-            src.append(i)
-            dst.append(j + lo)
-            cost.append(val[flat])
+            j += lo
+            canon = b[j, low[i]] > 0                # Delta holds low[i]
+            src.append(i[canon])
+            dst.append(j[canon])
+            cost.append(val[flat[canon]])
     return (np.concatenate(src), np.concatenate(dst),
             np.concatenate(cost).astype(np.int64))
 
@@ -165,8 +184,9 @@ def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
     `_dp_python`.
     """
     n = g.n
-    ncuts = len(cuts)
-    masks = cuts.masks
+    # a canonical chain's nonempty cuts hold vertex 0 (n == 0: empty is V)
+    masks = [m for m in cuts.masks if m & 1 or not m]
+    ncuts = len(masks)
     # a chain never costs more than C(n, 2), so a larger budget changes
     # nothing; clamping keeps the keys below far from int64 overflow
     k = min(k, n * n)
@@ -203,16 +223,17 @@ def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
 
 def _dp_python(g: Graph, cuts: CutIndex, p: int, k: int,
                stats: SolveStats) -> list[int] | None:
-    """Reference relaxation on python ints over all nested pairs; tests
-    compare `_dp_numpy` against it."""
-    ncuts = len(cuts)
-    masks = cuts.masks
+    """Reference relaxation on python ints over the nested pairs of the
+    canonical chains; tests compare `_dp_numpy` against it."""
+    masks = [m for m in cuts.masks if m == 0 or m & 1]
+    ncuts = len(masks)
     arcs: list[list[tuple[int, int]]] = [[] for _ in range(ncuts)]
     for i in range(ncuts):
         mi = masks[i]
+        missing = (mi + 1) & ~mi                # lowest vertex outside S_i
         for j in range(ncuts):
             mj = masks[j]
-            if mi != mj and mi & ~mj == 0:
+            if mi & ~mj == 0 and mj & missing:
                 arcs[i].append((j, arc_cost(g, mi, mj)))
     pos_empty = masks.index(0)
     pos_full = masks.index((1 << g.n) - 1)

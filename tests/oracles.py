@@ -15,9 +15,13 @@ network that the bitmask ``cuts.min_cut_leq`` replaced, and
 that ``solver.verify_solution`` replaced with one graph comparison, and
 ``clique_components_bfs`` is the breadth-first clique-component test that
 ``graph.clique_component_masks`` replaced with one hash per closed row.
+``chain_optima`` is the DP over every nested pair of cuts, so over every
+cluster order, that the solver's one canonical chain per clustering
+replaced.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -261,33 +265,67 @@ def min_cut(n, edges, s_mask: int, t_mask: int) -> int:
 
 def cheap_arcs(g: Graph, masks, k: int):
     """The DP's arc list by enumeration: every pair i -> j of *masks* with
-    S_i a proper subset of S_j and arc cost <= k, as int64 arrays
-    (src, dst, cost) ordered by dst, then src.
+    S_i a proper subset of S_j, the lowest vertex outside S_i in S_j, and
+    arc cost <= k, as int64 arrays (src, dst, cost) ordered by dst, then
+    src.
 
     The cost is counted on the edge list: growing S_i to S_j keeps the
     e(S_j) - e(S_i) - e(Delta) edges between S_i and Delta = S_j - S_i,
     which the arc deletes, and adds the C(|Delta|, 2) - e(Delta) missing
     pairs inside Delta.
     """
-    edges = list(g.edges())
-
-    def inside(mask):
-        return sum(mask >> u & 1 and mask >> v & 1 for u, v in edges)
-
-    e = [inside(m) for m in masks]
+    grow = _grow_cost(g)
     src, dst, cost = [], [], []
     for j, mj in enumerate(masks):
         for i, mi in enumerate(masks):
             if mi == mj or mi & ~mj:
                 continue
-            delta = mj & ~mi
-            c = (e[j] - e[i] - 2 * inside(delta)
-                 + math.comb(delta.bit_count(), 2))
+            low = next(v for v in range(g.n) if not mi >> v & 1)
+            if not mj >> low & 1:
+                continue
+            c = grow(mi, mj)
             if c <= k:
                 src.append(i)
                 dst.append(j)
                 cost.append(c)
     return tuple(np.array(a, dtype=np.int64) for a in (src, dst, cost))
+
+
+def _grow_cost(g: Graph):
+    """The cost of growing S_i to a superset S_j, counted on the edge list
+    as `cheap_arcs` states it."""
+    edges = list(g.edges())
+
+    @functools.cache
+    def inside(mask):
+        return sum(mask >> u & 1 and mask >> v & 1 for u, v in edges)
+
+    def grow(mi: int, mj: int) -> int:
+        delta = mj & ~mi
+        return (inside(mj) - inside(mi) - 2 * inside(delta)
+                + math.comb(delta.bit_count(), 2))
+    return grow
+
+
+def chain_optima(g: Graph, masks, p: int, k: int) -> list:
+    """Cheapest chain from the empty cut to V through *masks* with exactly
+    0..p arcs, over every nested pair (every cluster order), as a list
+    indexed by arc count; None where no chain costs <= k."""
+    grow = _grow_cost(g)
+    full = (1 << g.n) - 1
+    best = {0: 0}
+    optima = []
+    for _ in range(p + 1):
+        optima.append(best.get(full))
+        nxt: dict[int, int] = {}
+        for mi, ci in best.items():
+            for mj in masks:
+                if mi != mj and mi & ~mj == 0:
+                    c = ci + grow(mi, mj)
+                    if c <= k and c < nxt.get(mj, k + 1):
+                        nxt[mj] = c
+        best = nxt
+    return optima
 
 
 def min_cut_leq_dict(g: Graph, a: int, b: int, k: int) -> bool:

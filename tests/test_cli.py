@@ -169,9 +169,9 @@ AT_MOST_CODES = [0, 1, 0, 0, 0, 0, 1, 0]
 # SHA-256 of the stdout of all PINNED_CASES in order
 PINNED_STDOUT = {
     ("solve", "json", "exact"):
-        "e4f9cba6cae635affb14edd2718618bf555539ebbfa73f4b5677cd52a95a88d5",
+        "cf710d3825649ae90383eb0c6dd2cbc55ca726013108fc79f2e029fb1d9e5a0f",
     ("solve", "json", "at-most"):
-        "e82f5df7836ba9beb10fd62551297c0b6de058dad3f2f0a0e50a6e687ed31156",
+        "88a393667c47f0039ee4d4df73aa52a5761036c458a29ff182e0f930119a407c",
     ("solve", "text", "exact"):
         "e882cb52cac487e43f0b86a17a4d859295b6d6252b12a7cc713dc59b91ee9cc7",
     ("solve", "text", "at-most"):

@@ -24,7 +24,7 @@ PINNED_STDOUT = {
     "preprocessing_rules":
         "6138825b4d2d94897f975a851263ba023a49daef48e67ce426376c9a4b50b72c",
     "solve_small":
-        "d6ea7536b60514be1aa80771a85d99217658adc8938b8c0cc5d467caea0958ee",
+        "bafff4c13464b7d91dabc11382c87b0d37ab47bf949d4be3f200a8a014bb2b8f",
 }
 
 

@@ -13,6 +13,7 @@ from cluedit import (Clustering, Graph, Instance, Solution,
                      enumerate_k_cuts, solve_at_most_p, solve_exact_p,
                      verify_solution)
 from cluedit import solver
+from cluedit.bruteforce import oracle_best_cost
 from cluedit.graph import bits
 from cluedit.solver import (SolveResult, SolveStats, _dp_numpy, _dp_python,
                             arc_cost, result_to_dict)
@@ -235,6 +236,58 @@ def test_dp_backends_agree(monkeypatch):
                 stats = SolveStats()
                 assert _dp_numpy(g, cuts, p, k, stats) == chain
                 assert stats.dp_states == want_stats.dp_states
+
+
+def test_one_arc_chain_per_partition():
+    # with k = C(n, 2) every mask is a cut and every nested pair is cheap
+    # enough, so the arc paths with p arcs from the empty cut to V are the
+    # canonical chains: one per partition into p blocks
+    rng = random.Random(61)
+    for n in range(1, 8):
+        g = Graph.from_edges(n, oracles.random_edges(rng, n, 0.5))
+        k = n * (n - 1) // 2
+        cuts = enumerate_k_cuts(g, k)
+        assert len(cuts) == 1 << n
+        blocks = [len(part) for part in oracles.partitions(range(n))]
+        for src, dst, _ in (solver._cheap_arcs(g, cuts.masks, k),
+                            oracles.cheap_arcs(g, cuts.masks, k)):
+            paths = np.zeros(len(cuts), dtype=np.int64)
+            paths[0] = 1                        # the empty cut comes first
+            for p in range(1, n + 1):
+                paths = np.bincount(dst, weights=paths[src],
+                                    minlength=len(cuts)).astype(np.int64)
+                assert paths[-1] == blocks.count(p)
+
+
+def _layer_optimum(g, cuts, p, k):
+    """Cost of the chain `_dp_numpy` returns for exactly p clusters."""
+    chain = _dp_numpy(g, cuts, p, k, SolveStats())
+    if chain is None:
+        return None
+    return sum(arc_cost(g, a, b) for a, b in zip(chain, chain[1:]))
+
+
+def test_canonical_chains_keep_every_layer_optimum():
+    # one chain per clustering still reaches, at V, the optimum for every
+    # cluster count: the brute-force optimum on small graphs, and the DP
+    # over every nested pair (every cluster order) on the larger ones
+    rng = random.Random(67)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        g = Graph.from_edges(n, oracles.random_edges(rng, n, rng.random()))
+        k = rng.randint(0, n * (n - 1) // 2)
+        cuts = enumerate_k_cuts(g, k)
+        for p in range(1, n + 1):
+            best = oracle_best_cost(g, p)
+            assert _layer_optimum(g, cuts, p, k) == (
+                best if best <= k else None)
+    for g, k, counts in _dp_cases(random.Random(89)):
+        if g.n <= 8:
+            continue
+        cuts = enumerate_k_cuts(g, k)
+        optima = oracles.chain_optima(g, cuts.masks, max(counts), k)
+        for p in counts:
+            assert _layer_optimum(g, cuts, p, k) == optima[p]
 
 
 def test_arc_cost_chain_telescopes_to_editing_cost():
