@@ -127,8 +127,9 @@ def enumerate_k_cuts(g: Graph, k: int, cap: int | None = None) -> CutIndex | Non
     branches: every mask is scored against ``m - e(S) - e(V - S) <= k``.
     Beyond, a branching over the vertices in descending-degree order (ties
     by id) runs on an explicit stack and keeps a child only if
-    ``min_cut_leq`` finds a completion within k.  The degree order only steers the pruning: high-degree
-    vertices placed first make the flow test bite early.
+    ``min_cut_leq`` finds a completion within k.  The degree order only
+    steers the pruning: high-degree vertices placed first make the flow
+    test bite early.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

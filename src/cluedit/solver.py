@@ -14,43 +14,51 @@ user cap below the bound proves nothing when it is exceeded, so such an
 abort answers unknown.
 
 At-most mode runs the same pipeline once.  Layer j of the DP at the full
-vertex set is the optimum for exactly j clusters, so the answer is the
-cheapest layer in 0..p, ties going to the fewest clusters.  One cap
-serves every layer: after preprocessing, a solution of the kernel has at
-most min(p, 6k) clusters (at most 2k of them touch an edit, the rest are
-clique components, and past 6k the rules leave at most 4k of those), and
-the counting bound is monotone in p.
+vertex set holds the optimum for exactly j clusters (twice it, as a sum
+of the cluster weights below), so the answer is the cheapest layer in
+0..p, ties going to the fewest clusters.  One cap serves every layer:
+after preprocessing, a solution of the kernel has at most min(p, 6k)
+clusters (at most 2k of them touch an edit, the rest are clique
+components, and past 6k the rules leave at most 4k of those), and the
+counting bound is monotone in p.
 
 Canonical chains.  A clustering with q clusters is spelled by q! chains,
 one per cluster order, and the DP walks only one of them: the clusters
-listed by their lowest vertex.  On it, each arc S_i -> S_j adds a cluster
-Delta = S_j - S_i that holds the lowest vertex outside S_i, and every
-nonempty cut holds vertex 0.  Each clustering has exactly one chain that
-obeys this rule, since the rule fixes which cluster comes next, and its
-prefixes are unions of clusters, so they are k-cuts whenever the
-clustering costs at most k.  Hence the optimum of every layer at V is the
-one over all chains, in both modes, while the DP keeps only the empty cut
-and the cuts holding vertex 0 (half of the others, as the cut list is
-closed under complement) and only the arcs that obey the rule.
+listed by their lowest vertex.  Each clustering has exactly one such
+chain, since the rule fixes which cluster comes next: the one holding
+low(S), the lowest vertex outside the prefix S built so far.
 
-Arc costs.  Let B be the 0/1 cut-membership matrix (row i holds side-1
-S_i), A the adjacency matrix, D = B A and X = B D^T, so that
-X_ij = sum over u in S_i of |N(u) & S_j|.  For S_i a proper subset of S_j,
-with Delta = S_j - S_i, the arc S_i -> S_j deletes the edges between
-Delta and S_i and adds the missing pairs inside Delta:
+Cluster weights.  A clustering costs the sum over its clusters X of
+missing(X) = C(|X|, 2) - e(X), plus every edge between two clusters once.
+Such an edge crosses the boundary of both of its clusters, so twice the
+cost is the sum over X of 2 missing(X) + crossing(X), and with
+vol(X) = 2 e(X) + crossing(X), the sum of the degrees over X, that is the
+sum of
 
-    cost_ij = e(S_i, Delta) + C(|Delta|, 2) - e(Delta)
-            = 2 X_ij - 1.5 X_ii - 0.5 X_jj + C(|S_j| - |S_i|, 2).
+    w(X) = |X| (|X| - 1) - vol(X) + 2 crossing(X),
 
-Only arcs of cost <= k can lie on a chain within budget, so the DP keeps
-just those arcs and relaxes its p layers over that list.  Few pairs
-survive: on the benchmark's 60 planted_dense reference kernels 19% of the
-10.3M scored pairs are nested and 2.6% become arcs.
+a weight of the cluster alone, whatever prefix it joins.  vol comes from
+one product of the cut-membership bits with the degrees, and crossing(X)
+from the cut list.
 
-Tie-break.  Among the minimum-cost predecessors of a cut in a layer, the
-one with the smallest index in the cut list wins.  Cut indices follow
-`CutIndex` order, side-1 size and then mask value, so the returned
-optimum depends only on the cut set, not on how it was enumerated.
+Candidates and states.  In a clustering of cost <= k every boundary edge
+is deleted, so each cluster X is a side of a k-cut, w(X) >= 0 for every
+cluster and w(X) <= 2k; the candidates are the cut sides that pass this
+test.  For the same reason every prefix of its canonical chain, a union of
+clusters, is a k-cut, and every partial sum of its weights is <= 2k.  So
+layer j of the DP maps each prefix S that is a k-cut to F, the least
+weight of j candidate clusters that tile S, each holding the lowest vertex
+it leaves out: layer j + 1 pairs each S with the candidates X with
+min(X) = low(S), X disjoint from S, F + w(X) <= 2k and S u X a cut, and
+keeps the least F per new prefix.  The optimal clustering's chain survives
+every filter, and every value at V is twice the cost of a real clustering,
+so layer j at V holds twice the optimum for exactly j clusters, or nothing
+when that optimum exceeds k, in both modes.  ``dp_states`` counts the
+(layer, prefix) states kept over layers 0..p.
+
+Tie-break.  Among the pairs that reach one prefix at the least F, the one
+from the smallest parent prefix, as an integer mask, wins.  So the
+returned chain depends only on the cut set, not on how it was enumerated.
 """
 from __future__ import annotations
 
@@ -65,11 +73,6 @@ from .cuts import CutIndex, cut_count_bound, edges_inside_table, enumerate_k_cut
 from .graph import (Clustering, Graph, apply_edits, bits, cluster_graph_of,
                     clustering_to_edit_set, connected_components)
 from .preprocess import Instance, PreprocessOutcome, lift_clustering, preprocess
-
-_BIG = 1 << 31
-# multiply-adds per block matmul; below 2^18 OpenBLAS keeps a call on one
-# thread, and more threads only spin on blocks this small
-_ARC_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -94,170 +97,160 @@ class SolveResult:
     stats: SolveStats
 
 
-def arc_cost(g: Graph, v1: int, v1p: int) -> int:
-    """Cost of growing side-1 from v1 to v1p: edges cut off from v1 plus
-    missing edges inside the new cluster v1p - v1."""
-    if v1 & ~v1p:
-        raise ValueError("v1 must be a subset of v1p")
-    delta = v1p & ~v1
-    cut = 0
-    inside = 0
-    for v in bits(delta):
-        cut += (g.rows[v] & v1).bit_count()
-        inside += (g.rows[v] & delta).bit_count()
-    d = delta.bit_count()
-    return cut + comb(d, 2) - inside // 2
+def _words(masks, n: int) -> np.ndarray:
+    """The masks as a (len(masks), W) uint64 array, W = max(1, ceil(n / 64)):
+    word i of a row holds vertices 64 i .. 64 i + 63."""
+    if n <= 64:
+        return np.array(masks, dtype=np.uint64).reshape(-1, 1)
+    width = (n + 63) // 64
+    raw = b"".join(m.to_bytes(8 * width, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, width)
 
 
-def _membership(masks, n: int) -> np.ndarray:
-    """len(masks) x n float64 0/1 matrix whose row i holds the bits of masks[i]."""
-    width = (n + 7) // 8
-    raw = b"".join(m.to_bytes(width, "little") for m in masks)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(packed, axis=1, count=n,
-                         bitorder="little").astype(np.float64)
+def _mask(row: np.ndarray) -> int:
+    """The python-int mask of one row of `_words`."""
+    return int.from_bytes(row.astype("<u8").tobytes(), "little")
 
 
-def _cheap_arcs(g: Graph, masks: list[int], k: int):
-    """Every arc i -> j with S_i a proper subset of S_j, the lowest vertex
-    outside S_i in S_j, and cost <= k.
+def _lowest(words: np.ndarray, n: int) -> np.ndarray:
+    """The lowest vertex of each row of `_words`; n for an empty row."""
+    # trailing zeros of each word, 64 for a zero word
+    zeros = np.bitwise_count(~words & (words - 1)).astype(np.int64)
+    low = zeros[:, 0]
+    for i in range(1, words.shape[1]):
+        low = np.where(low == 64 * i, low + zeros[:, i], low)
+    return np.minimum(low, n)
 
-    Returns integer arrays (src, dst, cost) sorted by dst, then src.  The
-    masks are sorted by size, so the targets of one size are scored
-    against all strictly smaller sources, a block of targets at a time, in
-    one float64 matmul val = L R^T with L_i = [B_i, r_i, 1, -s_i] and
-    R_j = [2 D_j + w (1 - B_j), 1, c_j, s_j], where s is the side-1 size,
-    r_i = (s_i^2 + s_i)/2 - 1.5 X_ii and c_j = (s_j^2 - s_j)/2 - 0.5 X_jj.
-    Then val_ij = cost_ij + w |S_i - S_j|: the penalty w = 4n^2 + 1 lifts
-    every non-nested pair above n^2, since its cost term is >= -2n^2, so
-    k must be at most n^2.  Every product is a multiple of 1/2 and their
-    absolute values sum to less than 5n^3, so every partial sum of the
-    matmul, and val, is exact in float64 for n up to 90000.
 
-    The arcs of a block are read off in one flat scan: the block is
-    raveled, the positions with val <= k are found in row-major order, and
-    division by the source count `top` splits each position into its
-    target row and source column, so the order is by target, then source.
-    Of these, the arcs whose target row of B holds the first zero of the
-    source row are kept.
-    """
-    n = g.n
-    if n == 0:                                      # one cut, no arcs
-        return (np.zeros(0, dtype=np.int64),) * 3
-    b = _membership(masks, n)
-    # the lowest vertex outside each S_i; V, which has none, is no source
-    low = b.argmin(axis=1)
-    d = b @ _membership(g.rows, n)
-    x_self = np.einsum("ij,ij->i", b, d)           # X_ii = 2 e(S_i)
-    size = b.sum(axis=1)
-    ones = np.ones(len(masks))
-    left = np.column_stack([b, (size * size + size) / 2 - 1.5 * x_self,
-                            ones, -size])
-    right = np.column_stack([2 * d + (4 * n * n + 1) * (1 - b), ones,
-                             (size * size - size) / 2 - 0.5 * x_self, size])
-    first = np.searchsorted(size, np.arange(n + 2))  # first cut of each size
-    src, dst, cost = [], [], []
-    for s in range(1, n + 1):
-        top, end = first[s], first[s + 1]          # sources are [0, top)
-        sources = left[:top].T
-        step = max(1, _ARC_BLOCK // (top * (n + 3)))
-        for lo in range(top, end, step):
-            val = (right[lo:min(lo + step, end)] @ sources).ravel()
-            flat = np.flatnonzero(val <= k)
-            j, i = np.divmod(flat, top)
-            j += lo
-            canon = b[j, low[i]] > 0                # Delta holds low[i]
-            src.append(i[canon])
-            dst.append(j[canon])
-            cost.append(val[flat[canon]])
-    return (np.concatenate(src), np.concatenate(dst),
-            np.concatenate(cost).astype(np.int64))
+def _keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key per row of `_words`, ordered as the masks are: the
+    word itself, or all words as one big-endian byte string."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    wide = np.ascontiguousarray(words[:, ::-1].astype(">u8"))
+    return wide.view(np.dtype((np.void, 8 * words.shape[1]))).ravel()
+
+
+def _weights(g: Graph, words: np.ndarray, crossing) -> np.ndarray:
+    """w(X) = |X|(|X| - 1) - vol(X) + 2 crossing(X) for each row X of
+    `_words`, where *crossing* lists the crossing counts of the rows."""
+    member = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1,
+                           count=g.n, bitorder="little")
+    size = member.sum(axis=1, dtype=np.int64)
+    degree = np.array([row.bit_count() for row in g.rows], dtype=np.int64)
+    return (size * (size - 1) - member @ degree
+            + 2 * np.asarray(crossing, dtype=np.int64))
 
 
 def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
               stats: SolveStats, at_most: bool = False) -> list[int] | None:
-    """Layered relaxation over the list of cheap arcs; any n.
+    """Layered DP over canonical prefixes and candidate clusters; any n.
 
-    Returns the chain of side-1 masks of an optimal solution with exactly p
-    clusters, or with the cheapest count in 0..p when *at_most* (ties go to
-    the fewest clusters), or None.  Same layers, states and tie-break as
-    `_dp_python`.
+    Returns the chain of prefix masks, from the empty set to V, of an
+    optimal solution with exactly p clusters, or with the cheapest count in
+    0..p when *at_most* (ties go to the fewest clusters), or None.  Its
+    int64 keys reach about 2kn, which `_solve` keeps small by clamping k
+    to C(n, 2).  Same states, tie-break and ``dp_states`` as `_dp_python`.
     """
     n = g.n
-    # a canonical chain's nonempty cuts hold vertex 0 (n == 0: empty is V)
-    masks = [m for m in cuts.masks if m & 1 or not m]
-    ncuts = len(masks)
-    # a chain never costs more than C(n, 2), so a larger budget changes
-    # nothing; clamping keeps the keys below far from int64 overflow
-    k = min(k, n * n)
-    src, dst, cost = _cheap_arcs(g, masks, k)
-    first = np.ones(len(dst), dtype=bool)              # first arc per target
-    first[1:] = dst[1:] != dst[:-1]
-    heads = np.flatnonzero(first)
-    targets = dst[heads]
-    best = np.full((p + 1, ncuts), _BIG, dtype=np.int64)
-    pred = np.full((p + 1, ncuts), -1, dtype=np.int64)
-    # CutIndex order puts the cut (empty, V) first and (V, empty) last
-    best[0, 0] = 0
-    for layer in range(p):
-        if not len(src) or best[layer].min() > k:
+    budget = 2 * k
+    cut_words = _words(cuts.masks, n)
+    weight = _weights(g, cut_words, cuts.crossing)
+    cand = np.flatnonzero((weight <= budget) & cut_words.any(axis=1))
+    low = _lowest(cut_words[cand], n)
+    order = np.lexsort((weight[cand], low))
+    cand_words, cand_weight = cut_words[cand[order]], weight[cand[order]]
+    # candidates by lowest vertex, then weight: those a state can afford
+    # are one run of positions
+    cand_key = low[order] * (budget + 1) + cand_weight
+    cut_keys = np.sort(_keys(cut_words))
+    # a copy of the largest key past the end: a search past it lands there
+    cut_keys = np.concatenate((cut_keys, cut_keys[-1:]))
+    full = _words([(1 << n) - 1], n)
+    words = np.zeros((1, full.shape[1]), dtype=np.uint64)
+    spent = np.zeros(1, dtype=np.int64)
+    layers = [(words, spent, None)]
+    for _ in range(p):
+        # pair state src with candidate pick: those holding the lowest
+        # vertex outside the state and within the budget it has left
+        start = _lowest(~words & full, n) * (budget + 1)
+        lo = np.searchsorted(cand_key, start)
+        counts = np.searchsorted(cand_key, start + budget - spent,
+                                 side="right") - lo
+        src = np.repeat(np.arange(len(spent)), counts)
+        pick = np.arange(len(src)) + np.repeat(lo - np.cumsum(counts)
+                                               + counts, counts)
+        prefix, cluster = words[src], cand_words[pick]
+        union = prefix | cluster
+        key = _keys(union)
+        ok = ((cut_keys[np.searchsorted(cut_keys[:-1], key)] == key)
+              & ~(prefix & cluster).any(axis=1))
+        if not ok.any():
             break
-        # smallest (cost, source) per target, as one int64 key
-        cand = np.minimum(best[layer][src] + cost, k + 1)
-        key = np.minimum.reduceat(cand * ncuts + src, heads)
-        hit = key < (k + 1) * ncuts
-        best[layer + 1, targets[hit]] = key[hit] // ncuts
-        pred[layer + 1, targets[hit]] = key[hit] % ncuts
-    stats.dp_states = int((best <= k).sum())
-    pos_full = ncuts - 1
-    # argmin takes the first, so the fewest clusters among the cheapest
-    last = int(best[:, pos_full].argmin()) if at_most else p
-    if best[last, pos_full] > k:
+        src, union, key = src[ok], union[ok], key[ok]
+        total = spent[src] + cand_weight[pick[ok]]
+        # by mask, then F, then parent: the first of each mask is kept
+        order = np.lexsort((src, total, *union.T))
+        key = key[order]
+        first = order[np.concatenate(([True], key[1:] != key[:-1]))]
+        words, spent = union[first], total[first]
+        layers.append((words, spent, src[first]))
+    stats.dp_states = sum(len(layer[1]) for layer in layers)
+    # a layer reaches V iff its last state, the largest mask, is V
+    reach = [j for j, (w, _, _) in enumerate(layers)
+             if (at_most or j == p) and np.array_equal(w[-1], full[0])]
+    if not reach:
         return None
-    chain = [pos_full]
-    for layer in range(last, 0, -1):
-        chain.append(int(pred[layer, chain[-1]]))
+    # ties go to the fewest clusters
+    last = min(reach, key=lambda j: (layers[j][1][-1], j))
+    chain, at = [], len(layers[last][1]) - 1
+    for words, _, parent in reversed(layers[:last + 1]):
+        chain.append(_mask(words[at]))
+        if parent is not None:
+            at = parent[at]
     chain.reverse()
-    return [masks[i] for i in chain]
+    return chain
 
 
 def _dp_python(g: Graph, cuts: CutIndex, p: int, k: int,
-               stats: SolveStats) -> list[int] | None:
-    """Reference relaxation on python ints over the nested pairs of the
-    canonical chains; tests compare `_dp_numpy` against it."""
-    masks = [m for m in cuts.masks if m == 0 or m & 1]
-    ncuts = len(masks)
-    arcs: list[list[tuple[int, int]]] = [[] for _ in range(ncuts)]
-    for i in range(ncuts):
-        mi = masks[i]
-        missing = (mi + 1) & ~mi                # lowest vertex outside S_i
-        for j in range(ncuts):
-            mj = masks[j]
-            if mi & ~mj == 0 and mj & missing:
-                arcs[i].append((j, arc_cost(g, mi, mj)))
-    pos_empty = masks.index(0)
-    pos_full = masks.index((1 << g.n) - 1)
-    best = [[_BIG] * ncuts for _ in range(p + 1)]
-    pred = [[-1] * ncuts for _ in range(p + 1)]
-    best[0][pos_empty] = 0
-    for layer in range(p):
-        cur, nxt = best[layer], best[layer + 1]
-        for i in range(ncuts):
-            if cur[i] > k:
-                continue
-            for j, c in arcs[i]:
-                cand = cur[i] + c
-                if cand <= k and cand < nxt[j]:
-                    nxt[j] = cand
-                    pred[layer + 1][j] = i
-    stats.dp_states = sum(v <= k for layer in best for v in layer)
-    if best[p][pos_full] > k:
+               stats: SolveStats, at_most: bool = False) -> list[int] | None:
+    """Reference of `_dp_numpy` on python ints, with the same states,
+    tie-break and ``dp_states``; tests compare the two."""
+    n = g.n
+    full = (1 << n) - 1
+    budget = 2 * k
+    is_cut = set(cuts.masks)
+    by_low: dict[int, list[tuple[int, int]]] = {}
+    for x, crossing in zip(cuts.masks, cuts.crossing):
+        size = x.bit_count()
+        w = (size * (size - 1) - sum(g.rows[v].bit_count() for v in bits(x))
+             + 2 * crossing)
+        if x and w <= budget:
+            by_low.setdefault((x & -x).bit_length() - 1, []).append((x, w))
+    layers: list[dict[int, tuple[int, int]]] = [{0: (0, -1)}]  # S: (F, parent)
+    for _ in range(p):
+        nxt: dict[int, tuple[int, int]] = {}
+        # parents by mask, so the smallest one wins a tie
+        for s, (f, _) in sorted(layers[-1].items()):
+            for x, w in by_low.get((~s & (s + 1)).bit_length() - 1, ()):
+                u = s | x
+                if (not x & s and f + w <= budget and u in is_cut
+                        and f + w < nxt.get(u, (budget + 1,))[0]):
+                    nxt[u] = (f + w, s)
+        if not nxt:
+            break
+        layers.append(nxt)
+    stats.dp_states = sum(map(len, layers))
+    reach = [j for j, layer in enumerate(layers)
+             if (at_most or j == p) and full in layer]
+    if not reach:
         return None
-    chain = [pos_full]
-    for layer in range(p, 0, -1):
-        chain.append(pred[layer][chain[-1]])
+    last = min(reach, key=lambda j: (layers[j][full][0], j))
+    chain = [full]
+    for layer in reversed(layers[1:last + 1]):
+        chain.append(layer[chain[-1]][1])
     chain.reverse()
-    return [masks[i] for i in chain]
+    return chain
 
 
 def _no(stats: SolveStats) -> SolveResult:
@@ -299,7 +292,10 @@ def _solve(inst: Instance, cap: int | None) -> SolveResult:
         return _no(stats)
     red = outcome.instance
     assert red is not None
-    g, p, k = red.g, red.p, red.k
+    # no clustering of the kernel costs more than C(n', 2), and under that
+    # budget every mask is a cut, so a larger k changes nothing; the clamp
+    # keeps the O(k^3) bound and the DP's int64 keys small
+    g, p, k = red.g, red.p, min(red.k, comb(red.g.n, 2))
 
     if p == 0:
         if g.n > 0:

@@ -263,37 +263,26 @@ def min_cut(n, edges, s_mask: int, t_mask: int) -> int:
     return best
 
 
-def cheap_arcs(g: Graph, masks, k: int):
-    """The DP's arc list by enumeration: every pair i -> j of *masks* with
-    S_i a proper subset of S_j, the lowest vertex outside S_i in S_j, and
-    arc cost <= k, as int64 arrays (src, dst, cost) ordered by dst, then
-    src.
-
-    The cost is counted on the edge list: growing S_i to S_j keeps the
-    e(S_j) - e(S_i) - e(Delta) edges between S_i and Delta = S_j - S_i,
-    which the arc deletes, and adds the C(|Delta|, 2) - e(Delta) missing
-    pairs inside Delta.
-    """
-    grow = _grow_cost(g)
-    src, dst, cost = [], [], []
-    for j, mj in enumerate(masks):
-        for i, mi in enumerate(masks):
-            if mi == mj or mi & ~mj:
-                continue
-            low = next(v for v in range(g.n) if not mi >> v & 1)
-            if not mj >> low & 1:
-                continue
-            c = grow(mi, mj)
-            if c <= k:
-                src.append(i)
-                dst.append(j)
-                cost.append(c)
-    return tuple(np.array(a, dtype=np.int64) for a in (src, dst, cost))
+def arc_cost(g: Graph, v1: int, v1p: int) -> int:
+    """Cost of growing side-1 from v1 to v1p: edges cut off from v1 plus
+    missing edges inside the new cluster v1p - v1."""
+    if v1 & ~v1p:
+        raise ValueError("v1 must be a subset of v1p")
+    delta = v1p & ~v1
+    cut = 0
+    inside = 0
+    for v in bits(delta):
+        cut += (g.rows[v] & v1).bit_count()
+        inside += (g.rows[v] & delta).bit_count()
+    d = delta.bit_count()
+    return cut + math.comb(d, 2) - inside // 2
 
 
 def _grow_cost(g: Graph):
-    """The cost of growing S_i to a superset S_j, counted on the edge list
-    as `cheap_arcs` states it."""
+    """The cost of growing S_i to a superset S_j, counted on the edge list:
+    the e(S_j) - e(S_i) - e(Delta) edges between S_i and Delta = S_j - S_i
+    are deleted and the C(|Delta|, 2) - e(Delta) missing pairs inside Delta
+    are added."""
     edges = list(g.edges())
 
     @functools.cache

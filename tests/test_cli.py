@@ -7,6 +7,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -62,6 +63,18 @@ def test_solve_no_exit_code(graph_file):
     out = json.loads(res.stdout)
     assert out["answer"] == "no"
     assert out["cost"] is None
+
+
+@pytest.mark.parametrize("k", [10 ** 8, 10 ** 29])
+def test_solve_huge_budget_answers_at_once(graph_file, capsys, k):
+    # no clustering of 3 vertices costs more than 3, so the budget is
+    # clamped before the counting bound, whose work grows as k^3
+    start = time.perf_counter()
+    code = cli.main(["solve", graph_file(PATH3), "--p", "2", "--k", str(k)])
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["answer"] == "yes" and out["cost"] == 1
+    assert elapsed < 1.0
 
 
 def test_solve_text_format(graph_file):
@@ -169,9 +182,9 @@ AT_MOST_CODES = [0, 1, 0, 0, 0, 0, 1, 0]
 # SHA-256 of the stdout of all PINNED_CASES in order
 PINNED_STDOUT = {
     ("solve", "json", "exact"):
-        "cf710d3825649ae90383eb0c6dd2cbc55ca726013108fc79f2e029fb1d9e5a0f",
+        "68fd7f7ca6245957fa24f53a7ad781cc211e8744d5f31c6ffff81e1afcb4f2b4",
     ("solve", "json", "at-most"):
-        "88a393667c47f0039ee4d4df73aa52a5761036c458a29ff182e0f930119a407c",
+        "391d7be2d4bb998faeacade54f6341d6a8996c6ed213043155031e42d34602e0",
     ("solve", "text", "exact"):
         "e882cb52cac487e43f0b86a17a4d859295b6d6252b12a7cc713dc59b91ee9cc7",
     ("solve", "text", "at-most"):
@@ -216,6 +229,7 @@ def test_runtime_does_not_import_mpmath(tmp_path, graph_file, cnf_file):
     ]
     script = f"""
 import sys
+import time
 from cluedit import cli
 for argv in {commands!r}:
     assert cli.main(argv) == 0, argv

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import mask_of
+from oracles import arc_cost, mask_of
 from cluedit import (Clustering, Graph, Instance, Solution,
                      enumerate_k_cuts, solve_at_most_p, solve_exact_p,
                      verify_solution)
@@ -16,7 +16,7 @@ from cluedit import solver
 from cluedit.bruteforce import oracle_best_cost
 from cluedit.graph import bits
 from cluedit.solver import (SolveResult, SolveStats, _dp_numpy, _dp_python,
-                            arc_cost, result_to_dict)
+                            result_to_dict)
 
 
 def path(n):
@@ -191,8 +191,10 @@ def test_python_dp_route_on_wide_graphs():
 def _dp_cases(rng):
     """(graph, k, cluster counts): dense random graphs, planted
     clusterings for every n from 0 to 24, equal cliques (many cuts of one
-    size), a chain of five 14-cliques (n = 70, past one 64-bit word) and a
-    budget under which every mask is a cut."""
+    size), chains of cliques on 64 and 65 vertices (one 64-bit word full,
+    and one vertex past it) and on 70 vertices, a core past the first word
+    that many chains reach, and a budget under which every mask is a
+    cut."""
     for _ in range(20):
         n = rng.randint(2, 7)
         g = Graph.from_edges(n, oracles.random_edges(rng, n, 0.5))
@@ -204,59 +206,93 @@ def _dp_cases(rng):
         p = len(blocks)
         yield Graph.from_edges(n, edges), rng.randint(0, 3), {1, p, p + 1}
     yield triangles(4), 3, {3, 4, 5}
-    cliques = [list(range(14 * i, 14 * i + 14)) for i in range(5)]
-    joins = [(14 * i + 13, 14 * i + 14) for i in range(4)]
-    yield (Graph.from_edges(70, oracles.blocks_to_edges(cliques) + joins), 4,
-           {4, 5, 6})
+    for sizes in ((20, 20, 20, 4), (20, 20, 20, 5), (14,) * 5):
+        n = sum(sizes)
+        starts = list(itertools.accumulate(sizes, initial=0))
+        cliques = [list(range(a, b)) for a, b in zip(starts, starts[1:])]
+        joins = [(b - 1, b) for b in starts[1:-1]]
+        g = Graph.from_edges(n, oracles.blocks_to_edges(cliques) + joins)
+        yield g, 4, {len(sizes) - 1, len(sizes), len(sizes) + 1}
+    # a random core on 60..65 behind three 20-cliques: two chains meet in
+    # one prefix past the first word, so keys of two words pick the best
+    cliques = [list(range(20 * i, 20 * i + 20)) for i in range(3)]
+    core = [(60 + u, 60 + v)
+            for u, v in oracles.random_edges(random.Random(2), 6, 0.6)]
+    edges = oracles.blocks_to_edges(cliques) + [(19, 20), (39, 40), (59, 60)]
+    yield Graph.from_edges(66, edges + core), 6, {4, 5, 7}
     # k >= C(n, 2): every mask is a cut, so every size class is full
     g = Graph.from_edges(7, oracles.random_edges(rng, 7, 0.5))
     yield g, 21, {1, 3, 7}
 
 
-def test_dp_backends_agree(monkeypatch):
-    # the arc list must equal the enumerated one array for array, and the
-    # arc DP must reproduce the reference chain (hence its tie-break) and
-    # state count, whatever the block size: one target per block, at least
-    # three, or the default
+def test_dp_backends_agree():
+    # the numpy DP must reproduce the python-int reference chain (hence its
+    # tie-break) and state count in both modes
     rng = random.Random(89)
     for g, k, counts in _dp_cases(rng):
         cuts = enumerate_k_cuts(g, k)
-        want_arcs = oracles.cheap_arcs(g, cuts.masks, k)
-        want = {}
-        for p in counts:
-            want_stats = SolveStats()
-            want[p] = _dp_python(g, cuts, p, k, want_stats), want_stats
-        for block in (1, 3 * len(cuts) * (g.n + 3), solver._ARC_BLOCK):
-            monkeypatch.setattr(solver, "_ARC_BLOCK", block)
-            arcs = solver._cheap_arcs(g, cuts.masks, min(k, g.n * g.n))
-            for got, expect in zip(arcs, want_arcs, strict=True):
-                assert got.dtype == expect.dtype
-                assert np.array_equal(got, expect)
-            for p, (chain, want_stats) in want.items():
-                stats = SolveStats()
-                assert _dp_numpy(g, cuts, p, k, stats) == chain
-                assert stats.dp_states == want_stats.dp_states
+        for p, at_most in itertools.product(counts, (False, True)):
+            want_stats, stats = SolveStats(), SolveStats()
+            chain = _dp_python(g, cuts, p, k, want_stats, at_most)
+            assert _dp_numpy(g, cuts, p, k, stats, at_most) == chain
+            assert stats.dp_states == want_stats.dp_states
 
 
 def test_one_arc_chain_per_partition():
-    # with k = C(n, 2) every mask is a cut and every nested pair is cheap
-    # enough, so the arc paths with p arcs from the empty cut to V are the
-    # canonical chains: one per partition into p blocks
+    # with k = C(n, 2) every mask is a cut and every cluster a candidate
+    # within budget, so the states are exactly the prefixes of the
+    # canonical chains: the unions of the first j blocks of each partition,
+    # its blocks listed by lowest vertex
     rng = random.Random(61)
     for n in range(1, 8):
         g = Graph.from_edges(n, oracles.random_edges(rng, n, 0.5))
         k = n * (n - 1) // 2
         cuts = enumerate_k_cuts(g, k)
         assert len(cuts) == 1 << n
-        blocks = [len(part) for part in oracles.partitions(range(n))]
-        for src, dst, _ in (solver._cheap_arcs(g, cuts.masks, k),
-                            oracles.cheap_arcs(g, cuts.masks, k)):
-            paths = np.zeros(len(cuts), dtype=np.int64)
-            paths[0] = 1                        # the empty cut comes first
-            for p in range(1, n + 1):
-                paths = np.bincount(dst, weights=paths[src],
-                                    minlength=len(cuts)).astype(np.int64)
-                assert paths[-1] == blocks.count(p)
+        prefixes = {(0, 0)}
+        for part in oracles.partitions(range(n)):
+            union = 0
+            for j, block in enumerate(sorted(part, key=min), 1):
+                union |= mask_of(block)
+                prefixes.add((j, union))
+        for dp in (_dp_numpy, _dp_python):
+            stats = SolveStats()
+            assert dp(g, cuts, n, k, stats) is not None
+            assert stats.dp_states == len(prefixes)
+
+
+def test_cluster_weights_sum_to_twice_the_editing_cost():
+    # each deleted edge lies on the boundaries of two clusters, so half the
+    # summed weights of a partition's clusters is its editing cost
+    rng = random.Random(71)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        edges = oracles.random_edges(rng, n, rng.random())
+        g = Graph.from_edges(n, edges)
+        parts = list(oracles.partitions(range(n)))
+        masks = [mask_of(block) for part in parts for block in part]
+        crossing = {m: oracles.crossing_count(n, edges, m) for m in set(masks)}
+        weights = solver._weights(g, solver._words(masks, n),
+                                  [crossing[m] for m in masks])
+        starts = np.cumsum([0] + [len(part) for part in parts[:-1]])
+        sums = np.add.reduceat(weights, starts)
+        assert sums.tolist() == [2 * oracles.editing_cost(n, edges, part)
+                                 for part in parts]
+
+
+def test_mask_words_round_trip_across_word_boundaries():
+    rng = random.Random(73)
+    for n in (1, 63, 64, 65, 128, 130):
+        masks = [0, (1 << n) - 1, 1 << (n - 1)] + [rng.getrandbits(n)
+                                                   for _ in range(20)]
+        words = solver._words(masks, n)
+        assert words.shape == (len(masks), max(1, -(-n // 64)))
+        assert [solver._mask(row) for row in words] == masks
+        lowest = [(m & -m).bit_length() - 1 if m else n for m in masks]
+        assert solver._lowest(words, n).tolist() == lowest
+        keys = solver._keys(words)
+        assert np.argsort(keys, kind="stable").tolist() == sorted(
+            range(len(masks)), key=masks.__getitem__)
 
 
 def _layer_optimum(g, cuts, p, k):
