@@ -31,8 +31,8 @@ def main():
     for k in range(0, 5):
         idx = enumerate_k_cuts(g, k)
         brute = brute_cut_count(g, k)
-        assert len(idx.masks) == brute
-        print(f"{k:>3} {len(idx.masks):>6} {brute:>10} "
+        assert len(idx) == brute
+        print(f"{k:>3} {len(idx):>6} {brute:>10} "
               f"{idx.stats.explored:>9} {idx.stats.pruned:>7}")
 
     print("\ncap handling: abort as soon as the cap is exceeded")

@@ -25,6 +25,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .bruteforce import oracle_best_cost
 from .cnf import parse_assignment, read_dimacs
 from .cuts import cut_count_bound, enumerate_k_cuts
@@ -102,6 +104,10 @@ def cmd_oracle(args) -> int:
                     "cost": cost if yes else None}, args.format)
 
 
+# `cuts` renders this many cuts at a time, which bounds the text it holds
+_CUTS_BLOCK = 4096
+
+
 def cmd_cuts(args) -> int:
     g = read_graph(args.graph)
     cuts = enumerate_k_cuts(g, args.k, args.cap)
@@ -118,9 +124,16 @@ def cmd_cuts(args) -> int:
             out["within_bound"] = len(cuts) <= bound
         _emit(out)
     else:
-        for mask, crossing in zip(cuts.masks, cuts.crossing):
-            bitstring = "".join("1" if mask >> v & 1 else "0" for v in range(g.n))
-            print(f"{bitstring} {crossing}")
+        n = g.n
+        for start in range(0, len(cuts), _CUTS_BLOCK):
+            # one row of '0'/'1' bytes per cut, vertex 0 first
+            words = cuts.words[start:start + _CUTS_BLOCK].astype("<u8")
+            member = np.unpackbits(words.view(np.uint8), axis=1, count=n,
+                                   bitorder="little")
+            text = (member + ord("0")).tobytes().decode("ascii")
+            crossing = cuts.crossing_counts[start:start + _CUTS_BLOCK].tolist()
+            print("\n".join(f"{text[i * n:(i + 1) * n]} {c}"
+                            for i, c in enumerate(crossing)))
     return EXIT_YES
 
 

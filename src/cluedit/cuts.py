@@ -8,7 +8,9 @@ by vertex on an explicit stack and prune a branch as soon as a max-flow
 test shows that no completion stays within k, so every surviving branch
 emits at least one cut (polynomial delay).  The max-flow works on the
 graph's bitmask rows: its residual network is one int per vertex and each
-breadth-first layer is one mask.
+breadth-first layer is one mask.  Either route hands its cuts over as
+arrays, side 1 as rows of uint64 words and the crossing counts as int64,
+which the solver's DP reads as they are.
 
 The cap on the number of k-cuts is exact counting, finite for every p and
 k: a YES instance is a cluster graph H of at most p cliques with at most k
@@ -74,25 +76,45 @@ def min_cut_leq(g: Graph, a: int, b: int, k: int) -> bool:
     return False
 
 
+# the masks 0 .. 2^16 - 1, shared by every table build, which ANDs slices
+# of them with the neighbour rows instead of making an arange per vertex
+_IDS = np.arange(1 << 16, dtype=np.uint16)
+_IDS.flags.writeable = False
+
+
+def _neighbours_in(row: int, size: int) -> np.ndarray:
+    """|N & S| for every mask S below *size*, a power of two, where N is
+    the mask *row*; uint8.  Ids past 2^16 split into a high and a low
+    half, whose counts add."""
+    if size <= len(_IDS):
+        return np.bitwise_count(_IDS[:size] & (row & (size - 1)))
+    high = _neighbours_in(row >> 16, size >> 16)
+    return (high[:, None] + _neighbours_in(row, len(_IDS))).ravel()
+
+
 def edges_inside_table(g: Graph) -> np.ndarray:
     """e[S] = number of g-edges with both ends in mask S, for all S.
 
     Size 2^n; callers guard n.  Built by doubling: for S below bit v,
-    e[S | v] = e[S] + |N(v) & S|.
+    e[S | v] = e[S] + |N(v) & S|.  The dtype is the narrowest unsigned one
+    that holds m, uint8 up to m = 255, which covers every graph of at most
+    23 vertices.
     """
-    table = np.zeros(1 << g.n, dtype=np.int64)
+    table = np.zeros(1 << g.n, dtype=np.min_scalar_type(g.m))
     for v, row in enumerate(g.rows):
         half = 1 << v
-        low = np.arange(half, dtype=np.int64) & (row & (half - 1))
-        table[half:2 * half] = table[:half] + np.bitwise_count(low)
+        table[half:2 * half] = table[:half] + _neighbours_in(row, half)
     return table
 
 
 @dataclass
 class EnumStats:
-    """Work counters.  A dead end is a kept branch whose two children are
-    both pruned; exact pruning leaves none, which by induction on depth
-    means every kept subtree emits a cut (polynomial delay)."""
+    """Work counters.  On the branching route ``explored`` counts branch
+    decisions and ``pruned`` the children cut off; a dead end is a kept
+    branch whose two children are both pruned, and exact pruning leaves
+    none, which by induction on depth means every kept subtree emits a
+    cut (polynomial delay).  On the filter route ``explored`` counts the
+    2^n masks scored and ``pruned`` those crossing more than k edges."""
 
     explored: int = 0
     pruned: int = 0
@@ -100,22 +122,49 @@ class EnumStats:
     dead_ends: int = 0
 
 
+def _words(masks, n: int) -> np.ndarray:
+    """The masks as a (len(masks), W) uint64 array, W = max(1, ceil(n / 64)):
+    word i of a row holds vertices 64 i .. 64 i + 63."""
+    if n <= 64:
+        return np.array(masks, dtype=np.uint64).reshape(-1, 1)
+    width = (n + 63) // 64
+    raw = b"".join(m.to_bytes(8 * width, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, width)
+
+
+def _mask(row: np.ndarray) -> int:
+    """The python-int mask of one row of `_words`."""
+    return int.from_bytes(row.astype("<u8").tobytes(), "little")
+
+
 @dataclass
 class CutIndex:
     """All k-cuts of a graph, in a deterministic order.
 
-    ``masks[i]`` is side-1 of the i-th cut as a vertex mask and
-    ``crossing[i]`` its crossing count.  The list is sorted by side-1
-    size, then by mask value, so the order is a property of the cut set
-    alone; the solver's reconstruction tie-break refers to it.
+    Row i of ``words`` is side 1 of the i-th cut, in the layout of
+    `_words`, and ``crossing_counts[i]`` (int64) its crossing count.  The
+    rows are sorted by side-1 size, then by mask value, so the order is a
+    property of the cut set alone; the solver's reconstruction tie-break
+    refers to it.  ``masks`` and ``crossing`` read the same cuts as
+    Python ints.
     """
 
-    masks: list[int]
-    crossing: list[int]
+    words: np.ndarray
+    crossing_counts: np.ndarray
     stats: EnumStats = field(default_factory=EnumStats)
 
+    @property
+    def masks(self) -> list[int]:
+        if self.words.shape[1] == 1:
+            return self.words[:, 0].tolist()
+        return [_mask(row) for row in self.words]
+
+    @property
+    def crossing(self) -> list[int]:
+        return self.crossing_counts.tolist()
+
     def __len__(self) -> int:
-        return len(self.masks)
+        return len(self.words)
 
 
 def enumerate_k_cuts(g: Graph, k: int, cap: int | None = None) -> CutIndex | None:
@@ -139,7 +188,9 @@ def enumerate_k_cuts(g: Graph, k: int, cap: int | None = None) -> CutIndex | Non
     stats = EnumStats()
     if n <= _FILTER_N:
         inside = edges_inside_table(g)
-        crossing = g.m - inside - inside[::-1]
+        # in the table's unsigned dtype: e(S) + e(V - S) <= m, so no
+        # difference wraps
+        crossing = (g.m - inside) - inside[::-1]
         masks = np.flatnonzero(crossing <= k)  # ascending
         if cap is not None and masks.size > cap:
             return None
@@ -147,8 +198,8 @@ def enumerate_k_cuts(g: Graph, k: int, cap: int | None = None) -> CutIndex | Non
         stats.explored = 1 << n
         stats.emitted = masks.size
         stats.pruned = stats.explored - stats.emitted
-        return CutIndex(masks=masks.tolist(), crossing=crossing[masks].tolist(),
-                        stats=stats)
+        return CutIndex(masks.astype(np.uint64).reshape(-1, 1),
+                        crossing[masks].astype(np.int64), stats)
 
     rows = g.rows
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
@@ -175,8 +226,8 @@ def enumerate_k_cuts(g: Graph, k: int, cap: int | None = None) -> CutIndex | Non
             stats.dead_ends += 1
     stats.emitted = len(found)
     found.sort(key=lambda c: (c[0].bit_count(), c[0]))
-    return CutIndex(masks=[m for m, _ in found], crossing=[c for _, c in found],
-                    stats=stats)
+    return CutIndex(_words([m for m, _ in found], n),
+                    np.array([c for _, c in found], dtype=np.int64), stats)
 
 
 # ---------------------------------------------------------------------------

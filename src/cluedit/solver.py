@@ -37,9 +37,10 @@ sum of
 
     w(X) = |X| (|X| - 1) - vol(X) + 2 crossing(X),
 
-a weight of the cluster alone, whatever prefix it joins.  vol comes from
-one product of the cut-membership bits with the degrees, and crossing(X)
-from the cut list.
+a weight of the cluster alone, whatever prefix it joins.  Both terms come
+from the enumeration's arrays as it hands them over: vol is one product
+of the degrees with the membership bits unpacked from the cut list's
+uint64 words, and crossing(X) is the cut list's int64 crossing count.
 
 Candidates and states.  In a clustering of cost <= k every boundary edge
 is deleted, so each cluster X is a side of a k-cut, w(X) >= 0 for every
@@ -68,7 +69,8 @@ from math import comb
 import numpy as np
 
 # edges_inside_table is not used here; bench/spans.py patches it by name
-from .cuts import CutIndex, cut_count_bound, edges_inside_table, enumerate_k_cuts
+from .cuts import (CutIndex, _mask, _words, cut_count_bound,
+                   edges_inside_table, enumerate_k_cuts)
 # connected_components is not used here; bench/spans.py patches it by name
 from .graph import (Clustering, Graph, apply_edits, bits, cluster_graph_of,
                     clustering_to_edit_set, connected_components)
@@ -95,21 +97,6 @@ class SolveResult:
     answer: bool | None          # None: unknown, aborted under a user cap
     solution: Solution | None
     stats: SolveStats
-
-
-def _words(masks, n: int) -> np.ndarray:
-    """The masks as a (len(masks), W) uint64 array, W = max(1, ceil(n / 64)):
-    word i of a row holds vertices 64 i .. 64 i + 63."""
-    if n <= 64:
-        return np.array(masks, dtype=np.uint64).reshape(-1, 1)
-    width = (n + 63) // 64
-    raw = b"".join(m.to_bytes(8 * width, "little") for m in masks)
-    return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, width)
-
-
-def _mask(row: np.ndarray) -> int:
-    """The python-int mask of one row of `_words`."""
-    return int.from_bytes(row.astype("<u8").tobytes(), "little")
 
 
 def _lowest(words: np.ndarray, n: int) -> np.ndarray:
@@ -154,8 +141,8 @@ def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
     """
     n = g.n
     budget = 2 * k
-    cut_words = _words(cuts.masks, n)
-    weight = _weights(g, cut_words, cuts.crossing)
+    cut_words = cuts.words
+    weight = _weights(g, cut_words, cuts.crossing_counts)
     cand = np.flatnonzero((weight <= budget) & cut_words.any(axis=1))
     low = _lowest(cut_words[cand], n)
     order = np.lexsort((weight[cand], low))

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import package_env, run_cli
 
-from cluedit import cli, solver
+from cluedit import cli, enumerate_k_cuts, solver
 from cluedit.cnf import CnfFormula, format_dimacs
 from cluedit.graph import Graph, format_graph, read_graph
 
@@ -263,6 +263,20 @@ def test_cuts_stream(graph_file):
     assert res.returncode == 0
     assert res.stdout.splitlines() == ["000 0", "100 1", "010 0", "001 1",
                                        "110 1", "101 0", "011 1", "111 0"]
+
+
+def test_cuts_stream_across_words_and_blocks(graph_file):
+    # bitstrings of masks wider than one uint64 word, listings longer than
+    # one rendering block, and the empty graph's one cut with no bits
+    path = Graph.from_edges(70, [(v, v + 1) for v in range(69)])
+    assert 1 << 13 > cli._CUTS_BLOCK  # the 2^13 cuts of 13 lone vertices
+    for g, k in ((path, 1), (Graph.empty(13), 0), (Graph.empty(0), 0)):
+        res = run_cli("cuts", graph_file(g), "--k", str(k))
+        assert res.returncode == 0
+        index = enumerate_k_cuts(g, k)
+        assert res.stdout.splitlines() == [
+            "".join("1" if mask >> v & 1 else "0" for v in range(g.n)) + f" {c}"
+            for mask, c in zip(index.masks, index.crossing)]
 
 
 def test_cuts_count_only_with_bound(graph_file):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -200,6 +201,69 @@ def test_edges_inside_table():
         inside = sum(1 for u, v in g.edges()
                      if mask >> u & 1 and mask >> v & 1)
         assert table[mask] == inside
+
+
+def complete(n) -> Graph:
+    return Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
+
+
+def test_filter_route_on_the_largest_complete_kernel():
+    # K16 at k = 120 = m: every one of the 2^16 masks is a cut, and the
+    # table's narrow dtype must not wrap any crossing count
+    n = 16
+    g = complete(n)
+    index = enumerate_k_cuts(g, g.m)
+    assert len(index) == 1 << n and index.stats.pruned == 0
+    assert sorted(index.masks) == list(range(1 << n))
+    edges = list(g.edges())
+    assert index.crossing == [oracles.crossing_count(n, edges, m)
+                              for m in index.masks]
+
+
+@pytest.mark.parametrize("n, dtype", [(23, np.uint8), (24, np.uint16)])
+def test_edges_inside_table_dtype_boundary(n, dtype):
+    # K23 has m = 253, the last that fits uint8; K24 has m = 276, and a
+    # uint8 table would wrap at its full mask (numpy gives no warning)
+    g = complete(n)
+    table = edges_inside_table(g)
+    assert table.dtype == dtype
+    size = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int16)
+    assert np.array_equal(table, size * (size - 1) // 2)
+    edges = list(g.edges())
+    rng = random.Random(83)
+    for mask in [(1 << n) - 1, (1 << n) - 2] + rng.sample(range(1 << n), 50):
+        assert table[mask] == sum(1 for u, v in edges
+                                  if mask >> u & 1 and mask >> v & 1)
+
+
+def _cut_graphs():
+    rng = random.Random(89)
+    side = 100
+    two_cliques = [(u, v) for base in (0, side)
+                   for u, v in itertools.combinations(range(base, base + side), 2)]
+    yield Graph.empty(0), 0
+    yield Graph.empty(1), 0
+    for n in (16, 17):
+        yield Graph.from_edges(n, oracles.random_edges(rng, n, 0.15)), 2
+    yield Graph.from_edges(65, [(v, v + 1) for v in range(64)]), 1
+    yield Graph.from_edges(2 * side, two_cliques + [(side - 1, side)]), 1
+
+
+@pytest.mark.parametrize("filter_n", [cuts._FILTER_N + 1, -1],
+                         ids=["filter", "flow"])
+def test_cut_index_arrays_match_their_list_views(monkeypatch, filter_n):
+    # on both routes: side 1 of each cut is one row of uint64 words, the
+    # crossing counts are int64, and the list views read the same cuts
+    monkeypatch.setattr(cuts, "_FILTER_N", filter_n)
+    for g, k in _cut_graphs():
+        index = enumerate_k_cuts(g, k)
+        assert index.words.dtype == np.uint64
+        assert index.words.shape == (len(index), max(1, -(-g.n // 64)))
+        assert index.crossing_counts.dtype == np.int64
+        assert index.crossing_counts.shape == (len(index),)
+        assert index.masks == [sum(int(w) << 64 * i for i, w in enumerate(row))
+                               for row in index.words]
+        assert index.crossing == index.crossing_counts.tolist()
 
 
 def test_cut_count_bound_frozen_values():
