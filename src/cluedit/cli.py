@@ -25,11 +25,9 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .bruteforce import oracle_best_cost
 from .cnf import parse_assignment, read_dimacs
-from .cuts import cut_count_bound, enumerate_k_cuts
+from .cuts import _members, cut_count_bound, enumerate_k_cuts
 from .graph import read_graph, write_graph
 from .preprocess import Instance
 from .reductions import (MATERIALIZE_VERTEX_LIMIT, build_eth,
@@ -127,9 +125,7 @@ def cmd_cuts(args) -> int:
         n = g.n
         for start in range(0, len(cuts), _CUTS_BLOCK):
             # one row of '0'/'1' bytes per cut, vertex 0 first
-            words = cuts.words[start:start + _CUTS_BLOCK].astype("<u8")
-            member = np.unpackbits(words.view(np.uint8), axis=1, count=n,
-                                   bitorder="little")
+            member = _members(cuts.words[start:start + _CUTS_BLOCK], n)
             text = (member + ord("0")).tobytes().decode("ascii")
             crossing = cuts.crossing_counts[start:start + _CUTS_BLOCK].tolist()
             print("\n".join(f"{text[i * n:(i + 1) * n]} {c}"
@@ -200,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "a cap below the counting bound answers unknown "
                          "(exit 3)")
     sp.add_argument("--threads", type=int, default=1,
-                    help="accepted for interface stability; the layer "
-                         "relaxation is single-threaded and output does not "
-                         "depend on this value")
+                    help="accepted for interface stability; the solver "
+                         "is single-threaded and output does not depend on "
+                         "this value")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("oracle", help="brute-force reference solver (n <= 14)")

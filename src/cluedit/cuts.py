@@ -44,8 +44,8 @@ def min_cut_leq(g: Graph, a: int, b: int, k: int) -> bool:
     u->v, and each path comes from a breadth-first search whose layers are
     masks.  Empty a or b cuts nothing, so always True.
     """
-    if a & b:
-        raise ValueError("sides overlap")
+    if a & b or (a | b) >> g.n:  # a negative mask shifts to nonzero too
+        raise ValueError("sides must be disjoint vertex masks of g")
     if k < 0:
         raise ValueError("k must be >= 0")
     if a == 0 or b == 0:
@@ -135,6 +135,32 @@ def _words(masks, n: int) -> np.ndarray:
 def _mask(row: np.ndarray) -> int:
     """The python-int mask of one row of `_words`."""
     return int.from_bytes(row.astype("<u8").tobytes(), "little")
+
+
+def _members(words: np.ndarray, n: int) -> np.ndarray:
+    """The rows of `_words` as a (rows, n) uint8 array of membership bits,
+    vertex 0 first."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=1,
+                         count=n, bitorder="little")
+
+
+def _lowest(words: np.ndarray, n: int) -> np.ndarray:
+    """The lowest vertex of each row of `_words`; n for an empty row."""
+    # trailing zeros of each word, 64 for a zero word
+    zeros = np.bitwise_count(~words & (words - 1)).astype(np.int64)
+    low = zeros[:, 0]
+    for i in range(1, words.shape[1]):
+        low = np.where(low == 64 * i, low + zeros[:, i], low)
+    return np.minimum(low, n)
+
+
+def _keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key per row of `_words`, ordered as the masks are: the
+    word itself, or all words as one big-endian byte string."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    wide = np.ascontiguousarray(words[:, ::-1].astype(">u8"))
+    return wide.view(np.dtype((np.void, 8 * words.shape[1]))).ravel()
 
 
 @dataclass

@@ -115,18 +115,25 @@ class Clustering:
 
     @staticmethod
     def from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> "Clustering":
+        """The clustering whose clusters are the nonempty blocks, in order:
+        the one partition builder.  Raises ValueError unless the blocks
+        tile 0..n-1: no id outside it, none in two blocks, none missing."""
         assignment = [-1] * n
         c = 0
-        for block in blocks:
-            hit = False
-            for v in block:
-                if assignment[v] != -1:
-                    raise ValueError(f"vertex {v} in two blocks")
-                assignment[v] = c
-                hit = True
-            if hit:
-                c += 1
-        if any(a == -1 for a in assignment):
+        try:
+            for block in blocks:
+                hit = False
+                for v in block:
+                    # one test per vertex: an id >= n raises IndexError
+                    if v < 0 or assignment[v] != -1:
+                        raise ValueError(f"vertex {v} in two blocks" if v >= 0
+                                         else f"vertex {v} outside 0..{n - 1}")
+                    assignment[v] = c
+                    hit = True
+                c += hit
+        except IndexError:
+            raise ValueError(f"vertex {v} outside 0..{n - 1}") from None
+        if -1 in assignment:
             raise ValueError("blocks do not cover all vertices")
         return Clustering(tuple(assignment))
 

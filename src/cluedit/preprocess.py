@@ -32,13 +32,18 @@ to smallest, then the isolated vertices by id, each rule for as long as its
 2k+1 threshold and p' > 6k allow.  One ``induced_subgraph`` builds the
 kernel.  Apart from sorting the cliques by size this is O(n + m) row
 operations.
+
+`lift_clustering` takes a clustering of the kernel back to the input: each
+cluster through ``vertex_map``, then each removed component as a cluster
+of its own.  `Clustering.from_blocks` builds the result, so the check that
+every input vertex lands in exactly one cluster is the builder's.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 # connected_components is not used here; bench/spans.py patches it by name
-from .graph import (Clustering, Graph, clique_component_masks,
+from .graph import (Clustering, Graph, bits, clique_component_masks,
                     connected_components, induced_subgraph)
 
 
@@ -130,15 +135,7 @@ def lift_clustering(outcome: PreprocessOutcome, cl: Clustering,
                     original_n: int) -> Clustering:
     """Map a clustering of the reduced graph back to the original vertices,
     re-attaching every removed component as its own cluster."""
-    assignment = [-1] * original_n
-    for reduced_v, orig_v in enumerate(outcome.vertex_map):
-        assignment[orig_v] = cl.assignment[reduced_v]
-    next_id = cl.c
-    for _, vertices in outcome.removed:
-        for v in vertices:
-            assignment[v] = next_id
-        next_id += 1
-    if any(a == -1 for a in assignment):
-        raise ValueError("lift does not cover the original vertex set")
-    return Clustering(tuple(assignment))
-
+    vmap = outcome.vertex_map
+    blocks = [[vmap[v] for v in bits(mask)] for mask in cl.cluster_masks()]
+    blocks += [vertices for _, vertices in outcome.removed]
+    return Clustering.from_blocks(original_n, blocks)

@@ -320,14 +320,12 @@ def witness_clustering(art: CliqueArtifact, wit: CliqueWitness) -> Clustering:
     """Explicit per-vertex clustering of a witness (guarded by graph size)."""
     if art.vertex_count > MATERIALIZE_VERTEX_LIMIT:
         raise ValueError("instance too large for an explicit clustering")
-    assignment = [0] * art.vertex_count
-    for r in range(1, art.p + 1):
-        for alpha in range(1, 7):
-            for v in art.clique_range(r, alpha):
-                assignment[v] = (r - 1) * 6 + (alpha - 1)
+    # cluster 6 (r - 1) + alpha - 1: clique (r, alpha) and what joins it
+    blocks = [list(art.clique_range(r, alpha))
+              for r in range(1, art.p + 1) for alpha in range(1, 7)]
     for v, (r, alpha) in wit.cluster_of.items():
-        assignment[v] = (r - 1) * 6 + (alpha - 1)
-    return Clustering(tuple(assignment))
+        blocks[(r - 1) * 6 + (alpha - 1)].append(v)
+    return Clustering.from_blocks(art.vertex_count, blocks)
 
 
 # ===========================================================================

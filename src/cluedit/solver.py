@@ -39,8 +39,10 @@ sum of
 
 a weight of the cluster alone, whatever prefix it joins.  Both terms come
 from the enumeration's arrays as it hands them over: vol is one product
-of the degrees with the membership bits unpacked from the cut list's
-uint64 words, and crossing(X) is the cut list's int64 crossing count.
+of the degrees with the membership bits of the cut list's uint64 words,
+and crossing(X) is the cut list's int64 crossing count.  The module
+`cuts` owns that word layout; the DP reads the words only through its
+helpers (`_members`, `_lowest`, `_keys`, `_words`, `_mask`).
 
 Candidates and states.  In a clustering of cost <= k every boundary edge
 is deleted, so each cluster X is a side of a k-cut, w(X) >= 0 for every
@@ -60,6 +62,9 @@ when that optimum exceeds k, in both modes.  ``dp_states`` counts the
 Tie-break.  Among the pairs that reach one prefix at the least F, the one
 from the smallest parent prefix, as an integer mask, wins.  So the
 returned chain depends only on the cut set, not on how it was enumerated.
+The chain's differences are the kernel's clusters, which
+`Clustering.from_blocks` turns into the kernel clustering that
+`lift_clustering` takes back to the input.
 """
 from __future__ import annotations
 
@@ -69,8 +74,8 @@ from math import comb
 import numpy as np
 
 # edges_inside_table is not used here; bench/spans.py patches it by name
-from .cuts import (CutIndex, _mask, _words, cut_count_bound,
-                   edges_inside_table, enumerate_k_cuts)
+from .cuts import (CutIndex, _keys, _lowest, _mask, _members, _words,
+                   cut_count_bound, edges_inside_table, enumerate_k_cuts)
 # connected_components is not used here; bench/spans.py patches it by name
 from .graph import (Clustering, Graph, apply_edits, bits, cluster_graph_of,
                     clustering_to_edit_set, connected_components)
@@ -99,30 +104,10 @@ class SolveResult:
     stats: SolveStats
 
 
-def _lowest(words: np.ndarray, n: int) -> np.ndarray:
-    """The lowest vertex of each row of `_words`; n for an empty row."""
-    # trailing zeros of each word, 64 for a zero word
-    zeros = np.bitwise_count(~words & (words - 1)).astype(np.int64)
-    low = zeros[:, 0]
-    for i in range(1, words.shape[1]):
-        low = np.where(low == 64 * i, low + zeros[:, i], low)
-    return np.minimum(low, n)
-
-
-def _keys(words: np.ndarray) -> np.ndarray:
-    """One sortable key per row of `_words`, ordered as the masks are: the
-    word itself, or all words as one big-endian byte string."""
-    if words.shape[1] == 1:
-        return words[:, 0]
-    wide = np.ascontiguousarray(words[:, ::-1].astype(">u8"))
-    return wide.view(np.dtype((np.void, 8 * words.shape[1]))).ravel()
-
-
 def _weights(g: Graph, words: np.ndarray, crossing) -> np.ndarray:
     """w(X) = |X|(|X| - 1) - vol(X) + 2 crossing(X) for each row X of
     `_words`, where *crossing* lists the crossing counts of the rows."""
-    member = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1,
-                           count=g.n, bitorder="little")
+    member = _members(words, g.n)
     size = member.sum(axis=1, dtype=np.int64)
     degree = np.array([row.bit_count() for row in g.rows], dtype=np.int64)
     return (size * (size - 1) - member @ degree
@@ -302,10 +287,8 @@ def _solve(inst: Instance, cap: int | None) -> SolveResult:
     chain = _dp_numpy(g, cuts, p, k, stats, inst.mode == "at_most")
     if chain is None:
         return _no(stats)
-    blocks = []
-    for prev, cur in zip(chain, chain[1:]):
-        blocks.append(list(bits(cur & ~prev)))
-    reduced_cl = Clustering.from_blocks(g.n, blocks)
+    reduced_cl = Clustering.from_blocks(
+        g.n, (bits(cur & ~prev) for prev, cur in zip(chain, chain[1:])))
     return _finish(inst, outcome, reduced_cl, stats)
 
 

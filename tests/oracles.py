@@ -17,7 +17,8 @@ that ``solver.verify_solution`` replaced with one graph comparison, and
 ``graph.clique_component_masks`` replaced with one hash per closed row.
 ``chain_optima`` is the DP over every nested pair of cuts, so over every
 cluster order, that the solver's one canonical chain per clustering
-replaced.
+replaced.  ``lift_reference`` is the per-vertex assignment walk that
+``preprocess.lift_clustering`` replaced with one ``Clustering.from_blocks``.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from cluedit.graph import (Graph, apply_edits, bits, connected_components,
-                           induced_subgraph)
+from cluedit.graph import (Clustering, Graph, apply_edits, bits,
+                           connected_components, induced_subgraph)
 from cluedit.preprocess import Instance, PreprocessOutcome
 from cluedit.solver import Solution, SolveResult, SolveStats, solve_exact_p
 
@@ -192,6 +193,23 @@ def preprocess_stepwise(inst: Instance) -> PreprocessOutcome:
         p = g.n
     return PreprocessOutcome(None, Instance(g, p, k, mode), tuple(vmap),
                              removed)
+
+
+def lift_reference(outcome: PreprocessOutcome, cl: Clustering,
+                   original_n: int) -> Clustering:
+    """Kernel vertex v gets the cluster of its reduced id, then each removed
+    component a new id in removal order; every vertex must get one."""
+    assignment = [-1] * original_n
+    for reduced_v, orig_v in enumerate(outcome.vertex_map):
+        assignment[orig_v] = cl.assignment[reduced_v]
+    next_id = cl.c
+    for _, vertices in outcome.removed:
+        for v in vertices:
+            assignment[v] = next_id
+        next_id += 1
+    if any(a == -1 for a in assignment):
+        raise ValueError("lift does not cover the original vertex set")
+    return Clustering(tuple(assignment))
 
 
 # ---------------------------------------------------------------------------

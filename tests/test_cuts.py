@@ -194,6 +194,14 @@ def test_min_cut_leq_disconnected_sides():
     assert not min_cut_leq(triangle(), mask_of([0]), mask_of([2]), 1)
 
 
+def test_min_cut_leq_rejects_sides_outside_the_graph():
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    for a, b in ((1, 1 << 5), (1 << 5, 1), (1, -4), (-1, 4), (1, 1)):
+        for k in (0, 1):
+            with pytest.raises(ValueError, match="disjoint vertex masks"):
+                min_cut_leq(path, a, b, k)
+
+
 def test_edges_inside_table():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     table = edges_inside_table(g)

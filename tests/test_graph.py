@@ -123,6 +123,12 @@ def test_clustering_validation():
         Clustering.from_blocks(3, [[0, 1], [1, 2]])
     with pytest.raises(ValueError, match="cover"):
         Clustering.from_blocks(3, [[0, 1]])
+    # ids outside 0..n-1 neither wrap round nor leak an IndexError
+    for block in ([-1], [3], [-4]):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            Clustering.from_blocks(3, [[0, 1], block])
+    with pytest.raises(ValueError, match="outside 0..2"):
+        Clustering.from_blocks(3, [[0, 1, 2], [5]])
     with pytest.raises(ValueError, match="dense"):
         Clustering((0, 2))
     with pytest.raises(ValueError, match="dense"):

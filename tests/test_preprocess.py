@@ -158,6 +158,28 @@ def test_lift_clustering_restores_removed_cliques():
         mask_of(range(3 * t, 3 * t + 3)) for t in range(8))
 
 
+def test_lift_matches_reference_walk():
+    rng = random.Random(3)
+    fired = {("exact", "rule2"): 0, ("exact", "rule3"): 0,
+             ("at_most", "rule2"): 0, ("at_most", "rule3"): 0}
+    for _ in range(80):
+        g = random_clique_union(rng)
+        k = rng.randint(0, 1)
+        for mode in ("exact", "at_most"):
+            out = preprocess(Instance(g, rng.randint(1, g.n + 2), k, mode))
+            if out.rejected or out.instance.g.n == 0:
+                continue
+            n = out.instance.g.n
+            cl = Clustering.from_blocks(
+                n, oracles.random_blocks(rng, n, rng.randint(1, n)))
+            assert (lift_clustering(out, cl, g.n)
+                    == oracles.lift_reference(out, cl, g.n))
+            for rule in out.rules_applied:
+                fired[mode, rule] += 1
+    # both rules peel in both modes
+    assert min(fired.values()) > 20, fired
+
+
 def test_pipeline_agrees_with_oracle_on_rule_heavy_instances():
     rng = random.Random(71)
     for _ in range(40):
