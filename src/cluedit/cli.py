@@ -23,6 +23,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from .bruteforce import oracle_best_cost
@@ -117,8 +118,10 @@ def cmd_cuts(args) -> int:
         out: dict = {"count": len(cuts)}
         if args.p is not None:
             # a graph on n vertices is within k edits of at most n cliques,
-            # so p past n changes nothing but the size of the number
-            out["bound"] = bound = cut_count_bound(min(args.p, g.n), args.k)
+            # and for k >= C(n, 2) every mask is a cut, so p past n and k
+            # past C(n, 2) change nothing but the time and the number
+            out["bound"] = bound = cut_count_bound(
+                min(args.p, g.n), min(args.k, comb(g.n, 2)))
             out["within_bound"] = len(cuts) <= bound
         _emit(out)
     else:
@@ -214,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--p", type=int, default=None,
                     help="compare the count against the cut bound "
-                         "B(min(p, n), 2k)")
+                         "B(min(p, n), 2 min(k, C(n, 2)))")
     sp.set_defaults(func=cmd_cuts)
 
     sp = sub.add_parser("reduce", help="generate hardness instances from CNF")

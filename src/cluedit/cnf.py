@@ -43,6 +43,14 @@ def falsified_clause(f: CnfFormula, assignment: dict[int, bool]) -> int | None:
     return None
 
 
+def first_true_position(clause: tuple[int, ...],
+                        assignment: dict[int, bool]) -> int:
+    """1-based position of the first literal of *clause* that *assignment*
+    makes true; the clause must be satisfied."""
+    return next(eta for eta, lit in enumerate(clause, start=1)
+                if assignment[abs(lit)] == (lit > 0))
+
+
 def brute_force_sat(f: CnfFormula) -> dict[int, bool] | None:
     """First satisfying assignment in ascending bit order, or None.
 

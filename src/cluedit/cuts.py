@@ -170,9 +170,10 @@ class CutIndex:
     Row i of ``words`` is side 1 of the i-th cut, in the layout of
     `_words`, and ``crossing_counts[i]`` (int64) its crossing count.  The
     rows are sorted by side-1 size, then by mask value, so the order is a
-    property of the cut set alone; the solver's reconstruction tie-break
-    refers to it.  ``masks`` and ``crossing`` read the same cuts as
-    Python ints.
+    property of the cut set alone; it fixes what ``masks`` and
+    ``cluedit cuts`` list.  The solver's DP reads the rows as a set: its
+    tie-break is the smallest parent prefix, not a row position.
+    ``masks`` and ``crossing`` read the same cuts as Python ints.
     """
 
     words: np.ndarray

@@ -20,17 +20,19 @@ builds only the clusters and derives its 14m edits from them with
 `clustering_to_edit_set`.  For the balanced-clique construction one walk
 over the cycle and clause vertices (`_gadget`) drives the materializer,
 the attachment counts and the counted witness.  Both artifacts derive
-their role maps from their own id arithmetic.
+their role maps from their own id arithmetic, and the bounded-degree graph
+is built through that arithmetic too.
 """
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb
 
-from .cnf import CnfFormula, falsified_clause
+from .cnf import CnfFormula, falsified_clause, first_true_position
 from .graph import Clustering, Graph, clustering_to_edit_set
 from .regularize import (Recipe, RegularizedFormula, apply_recipes,
                          clean_clauses, regularize)
@@ -280,8 +282,7 @@ def multivariate_witness(art: CliqueArtifact,
             alpha = c if (c % 2 == 1) == assignment[x] else _norm6(c + 1)
             place[art.w_id(x, c)] = (part_of[x], alpha)
     for j, clause in enumerate(f.clauses):
-        sat_eta = next(eta for eta in (1, 2, 3)
-                       if assignment[abs(clause[eta - 1])] == (clause[eta - 1] > 0))
+        sat_eta = first_true_position(clause, assignment)
         for beta in (1, 2, 3):
             for xi in (1, 2, 3):
                 eta = (sat_eta + xi - 2) % 3 + 1
@@ -458,30 +459,27 @@ def build_eth(phi: CnfFormula) -> DegreeArtifact:
 
     occurrence_index = {key: slot for x in range(n)
                         for slot, key in enumerate(occs[x])}
+    # the id arithmetic first, so the edges are stated through it
+    art = DegreeArtifact(f, recipes, phi.var_count, Graph.empty(0),
+                         14 * len(f.clauses), tuple(cycle_base),
+                         occurrence_index, gadget_base)
 
     edges: list[tuple[int, int]] = []
-    for x in range(n):
-        ln = 4 * len(occs[x])
+    for x in range(1, n + 1):
+        base, ln = art.cycle_vertex(x, 0, 1), art.cycle_length(x)
         for i in range(ln):
-            edges.append((cycle_base[x] + i, cycle_base[x] + (i + 1) % ln))
+            edges.append((base + i, base + (i + 1) % ln))
     for j, clause in enumerate(f.clauses):
-        base = gadget_base + 6 * j
-        ps = [base + i for i in range(3)]
-        qs = [base + 3 + i for i in range(3)]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                edges.append((ps[a], ps[b]))
-        for pv in ps:
-            for qv in qs:
-                edges.append((pv, qv))
+        ps = [art.gadget_vertex(j, "p", eta) for eta in (1, 2, 3)]
+        qs = [art.gadget_vertex(j, "q", eta) for eta in (1, 2, 3)]
+        edges += combinations(ps, 2)
+        edges += product(ps, qs)
         for eta, lit in enumerate(clause, start=1):
-            b = cycle_base[abs(lit) - 1] + 4 * occurrence_index[(j, eta)]
+            slot = occurrence_index[(j, eta)]
             for pos in _attached_slots(lit):
-                edges.append((qs[eta - 1], b + pos - 1))
+                edges.append((qs[eta - 1], art.cycle_vertex(abs(lit), slot, pos)))
 
-    g = Graph.from_edges(vcount, edges)
-    return DegreeArtifact(f, recipes, phi.var_count, g, 14 * len(f.clauses),
-                          tuple(cycle_base), occurrence_index, gadget_base)
+    return replace(art, graph=Graph.from_edges(vcount, edges))
 
 
 def eth_witness(art: DegreeArtifact, assignment: dict[int, bool]
@@ -508,8 +506,7 @@ def eth_witness(art: DegreeArtifact, assignment: dict[int, bool]
             blocks.append([base + i, base + (i + 1) % ln])
 
     for j, clause in enumerate(f.clauses):
-        sat_eta = next(eta for eta in (1, 2, 3)
-                       if assignment[abs(clause[eta - 1])] == (clause[eta - 1] > 0))
+        sat_eta = first_true_position(clause, assignment)
         blocks.append([art.gadget_vertex(j, "p", e) for e in (1, 2, 3)]
                       + [art.gadget_vertex(j, "q", e) for e in (1, 2, 3) if e != sat_eta])
         # the chosen q joins the kept cycle pair it is attached to

@@ -61,10 +61,14 @@ when that optimum exceeds k, in both modes.  ``dp_states`` counts the
 
 Tie-break.  Among the pairs that reach one prefix at the least F, the one
 from the smallest parent prefix, as an integer mask, wins.  So the
-returned chain depends only on the cut set, not on how it was enumerated.
+returned chain depends only on the cut set, not on the order of its rows.
 The chain's differences are the kernel's clusters, which
 `Clustering.from_blocks` turns into the kernel clustering that
 `lift_clustering` takes back to the input.
+
+`_dp_numpy` is the one DP.  ``dp_reference`` in ``tests/oracles.py``
+restates it on python ints and dicts, and the tests compare the two chain
+for chain.
 """
 from __future__ import annotations
 
@@ -122,7 +126,8 @@ def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
     optimal solution with exactly p clusters, or with the cheapest count in
     0..p when *at_most* (ties go to the fewest clusters), or None.  Its
     int64 keys reach about 2kn, which `_solve` keeps small by clamping k
-    to C(n, 2).  Same states, tie-break and ``dp_states`` as `_dp_python`.
+    to C(n, 2).  ``dp_reference`` in ``tests/oracles.py`` is its python-int
+    reference, with the same states, tie-break and ``dp_states``.
     """
     n = g.n
     budget = 2 * k
@@ -184,45 +189,8 @@ def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
     return chain
 
 
-def _dp_python(g: Graph, cuts: CutIndex, p: int, k: int,
-               stats: SolveStats, at_most: bool = False) -> list[int] | None:
-    """Reference of `_dp_numpy` on python ints, with the same states,
-    tie-break and ``dp_states``; tests compare the two."""
-    n = g.n
-    full = (1 << n) - 1
-    budget = 2 * k
-    is_cut = set(cuts.masks)
-    by_low: dict[int, list[tuple[int, int]]] = {}
-    for x, crossing in zip(cuts.masks, cuts.crossing):
-        size = x.bit_count()
-        w = (size * (size - 1) - sum(g.rows[v].bit_count() for v in bits(x))
-             + 2 * crossing)
-        if x and w <= budget:
-            by_low.setdefault((x & -x).bit_length() - 1, []).append((x, w))
-    layers: list[dict[int, tuple[int, int]]] = [{0: (0, -1)}]  # S: (F, parent)
-    for _ in range(p):
-        nxt: dict[int, tuple[int, int]] = {}
-        # parents by mask, so the smallest one wins a tie
-        for s, (f, _) in sorted(layers[-1].items()):
-            for x, w in by_low.get((~s & (s + 1)).bit_length() - 1, ()):
-                u = s | x
-                if (not x & s and f + w <= budget and u in is_cut
-                        and f + w < nxt.get(u, (budget + 1,))[0]):
-                    nxt[u] = (f + w, s)
-        if not nxt:
-            break
-        layers.append(nxt)
-    stats.dp_states = sum(map(len, layers))
-    reach = [j for j, layer in enumerate(layers)
-             if (at_most or j == p) and full in layer]
-    if not reach:
-        return None
-    last = min(reach, key=lambda j: (layers[j][full][0], j))
-    chain = [full]
-    for layer in reversed(layers[1:last + 1]):
-        chain.append(layer[chain[-1]][1])
-    chain.reverse()
-    return chain
+# _dp_python is never called; bench/spans.py patches it by name
+_dp_python = _dp_numpy
 
 
 def _no(stats: SolveStats) -> SolveResult:

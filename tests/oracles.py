@@ -17,7 +17,9 @@ that ``solver.verify_solution`` replaced with one graph comparison, and
 ``graph.clique_component_masks`` replaced with one hash per closed row.
 ``chain_optima`` is the DP over every nested pair of cuts, so over every
 cluster order, that the solver's one canonical chain per clustering
-replaced.  ``lift_reference`` is the per-vertex assignment walk that
+replaced, and ``dp_reference`` is the solver's canonical-chain DP on
+python ints and dicts, which ``solver._dp_numpy`` must match chain for
+chain.  ``lift_reference`` is the per-vertex assignment walk that
 ``preprocess.lift_clustering`` replaced with one ``Clustering.from_blocks``.
 """
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from cluedit.cuts import CutIndex
 from cluedit.graph import (Clustering, Graph, apply_edits, bits,
                            connected_components, induced_subgraph)
 from cluedit.preprocess import Instance, PreprocessOutcome
@@ -333,6 +336,47 @@ def chain_optima(g: Graph, masks, p: int, k: int) -> list:
                         nxt[mj] = c
         best = nxt
     return optima
+
+
+def dp_reference(g: Graph, cuts: CutIndex, p: int, k: int,
+                 stats: SolveStats, at_most: bool = False) -> list[int] | None:
+    """Reference of `solver._dp_numpy` on python ints, with the same
+    signature, states, tie-break and ``dp_states``; tests compare the two."""
+    n = g.n
+    full = (1 << n) - 1
+    budget = 2 * k
+    is_cut = set(cuts.masks)
+    by_low: dict[int, list[tuple[int, int]]] = {}
+    for x, crossing in zip(cuts.masks, cuts.crossing):
+        size = x.bit_count()
+        w = (size * (size - 1) - sum(g.rows[v].bit_count() for v in bits(x))
+             + 2 * crossing)
+        if x and w <= budget:
+            by_low.setdefault((x & -x).bit_length() - 1, []).append((x, w))
+    layers: list[dict[int, tuple[int, int]]] = [{0: (0, -1)}]  # S: (F, parent)
+    for _ in range(p):
+        nxt: dict[int, tuple[int, int]] = {}
+        # parents by mask, so the smallest one wins a tie
+        for s, (f, _) in sorted(layers[-1].items()):
+            for x, w in by_low.get((~s & (s + 1)).bit_length() - 1, ()):
+                u = s | x
+                if (not x & s and f + w <= budget and u in is_cut
+                        and f + w < nxt.get(u, (budget + 1,))[0]):
+                    nxt[u] = (f + w, s)
+        if not nxt:
+            break
+        layers.append(nxt)
+    stats.dp_states = sum(map(len, layers))
+    reach = [j for j, layer in enumerate(layers)
+             if (at_most or j == p) and full in layer]
+    if not reach:
+        return None
+    last = min(reach, key=lambda j: (layers[j][full][0], j))
+    chain = [full]
+    for layer in reversed(layers[1:last + 1]):
+        chain.append(layer[chain[-1]][1])
+    chain.reverse()
+    return chain
 
 
 def min_cut_leq_dict(g: Graph, a: int, b: int, k: int) -> bool:

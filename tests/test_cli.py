@@ -13,7 +13,7 @@ import pytest
 
 from conftest import package_env, run_cli
 
-from cluedit import cli, enumerate_k_cuts, solver
+from cluedit import cli, cut_count_bound, enumerate_k_cuts, solver
 from cluedit.cnf import CnfFormula, format_dimacs
 from cluedit.graph import Graph, format_graph, read_graph
 
@@ -74,6 +74,20 @@ def test_solve_huge_budget_answers_at_once(graph_file, capsys, k):
     elapsed = time.perf_counter() - start
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["answer"] == "yes" and out["cost"] == 1
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("k", [10 ** 8, 10 ** 29])
+def test_cuts_bound_huge_budget_answers_at_once(graph_file, capsys, k):
+    # for k >= C(3, 2) every mask is a cut, so the bound is taken at k = 3
+    # and its O(k^3) work stays small
+    start = time.perf_counter()
+    code = cli.main(["cuts", graph_file(PATH3), "--k", str(k),
+                     "--count-only", "--p", "2"])
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["bound"] == cut_count_bound(2, 3) == 700
+    assert out["count"] == 8 and out["within_bound"]
     assert elapsed < 1.0
 
 

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from cluedit import (CnfFormula, brute_force_sat, format_dimacs,
                      parse_assignment, parse_dimacs, satisfies)
-from cluedit.cnf import BRUTE_SAT_LIMIT, falsified_clause
+from cluedit.cnf import BRUTE_SAT_LIMIT, falsified_clause, first_true_position
 
 
 def test_formula_validation():
@@ -26,6 +26,8 @@ def test_satisfies_and_falsified_clause():
     assert falsified_clause(f, {1: True, 2: True}) is None
     assert falsified_clause(f, {1: False, 2: False}) == 0
     assert falsified_clause(f, {1: False, 2: True}) == 2
+    assert [first_true_position(cl, {1: False, 2: True})
+            for cl in f.clauses[:2]] == [2, 1]
     with pytest.raises(ValueError, match="misses variable"):
         satisfies(f, {1: True})
 

@@ -9,13 +9,13 @@ import pytest
 
 import oracles
 from oracles import arc_cost, mask_of
-from cluedit import (Clustering, Graph, Instance, Solution,
+from cluedit import (Clustering, CutIndex, Graph, Instance, Solution,
                      enumerate_k_cuts, solve_at_most_p, solve_exact_p,
                      verify_solution)
 from cluedit import solver
 from cluedit.bruteforce import oracle_best_cost
 from cluedit.graph import bits
-from cluedit.solver import (SolveResult, SolveStats, _dp_numpy, _dp_python,
+from cluedit.solver import (SolveResult, SolveStats, _dp_numpy,
                             result_to_dict)
 
 
@@ -233,8 +233,25 @@ def test_dp_backends_agree():
         cuts = enumerate_k_cuts(g, k)
         for p, at_most in itertools.product(counts, (False, True)):
             want_stats, stats = SolveStats(), SolveStats()
-            chain = _dp_python(g, cuts, p, k, want_stats, at_most)
+            chain = oracles.dp_reference(g, cuts, p, k, want_stats, at_most)
             assert _dp_numpy(g, cuts, p, k, stats, at_most) == chain
+            assert stats.dp_states == want_stats.dp_states
+
+
+def test_dp_reads_the_cut_list_as_a_set():
+    # the tie-break is the smallest parent prefix, not a row position, so
+    # shuffling the rows of the cut list moves neither the chain nor the
+    # state count
+    rng = random.Random(97)
+    shuffle = np.random.default_rng(97)
+    for g, k, counts in _dp_cases(rng):
+        cuts = enumerate_k_cuts(g, k)
+        perm = shuffle.permutation(len(cuts))
+        shuffled = CutIndex(cuts.words[perm], cuts.crossing_counts[perm])
+        for p, at_most in itertools.product(counts, (False, True)):
+            want_stats, stats = SolveStats(), SolveStats()
+            chain = _dp_numpy(g, cuts, p, k, want_stats, at_most)
+            assert _dp_numpy(g, shuffled, p, k, stats, at_most) == chain
             assert stats.dp_states == want_stats.dp_states
 
 
@@ -255,7 +272,7 @@ def test_one_arc_chain_per_partition():
             for j, block in enumerate(sorted(part, key=min), 1):
                 union |= mask_of(block)
                 prefixes.add((j, union))
-        for dp in (_dp_numpy, _dp_python):
+        for dp in (_dp_numpy, oracles.dp_reference):
             stats = SolveStats()
             assert dp(g, cuts, n, k, stats) is not None
             assert stats.dp_states == len(prefixes)
