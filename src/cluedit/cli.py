@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .bruteforce import oracle_best_cost
 from .cnf import parse_assignment, read_dimacs
-from .cuts import _members, cut_count_bound, enumerate_k_cuts
+from .cuts import _members, _sizes, cut_count_bound, enumerate_k_cuts
 from .graph import read_graph, write_graph
 from .preprocess import Instance
 from .reductions import (MATERIALIZE_VERTEX_LIMIT, build_eth,
@@ -126,11 +126,14 @@ def cmd_cuts(args) -> int:
         _emit(out)
     else:
         n = g.n
+        # the cuts come in mask order; listed by (side-1 size, mask)
+        shown = _sizes(cuts.words).argsort(kind="stable")
         for start in range(0, len(cuts), _CUTS_BLOCK):
+            rows = shown[start:start + _CUTS_BLOCK]
             # one row of '0'/'1' bytes per cut, vertex 0 first
-            member = _members(cuts.words[start:start + _CUTS_BLOCK], n)
+            member = _members(cuts.words[rows], n)
             text = (member + ord("0")).tobytes().decode("ascii")
-            crossing = cuts.crossing_counts[start:start + _CUTS_BLOCK].tolist()
+            crossing = cuts.crossing_counts[rows].tolist()
             print("\n".join(f"{text[i * n:(i + 1) * n]} {c}"
                             for i, c in enumerate(crossing)))
     return EXIT_YES

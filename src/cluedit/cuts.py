@@ -9,8 +9,13 @@ test shows that no completion stays within k, so every surviving branch
 emits at least one cut (polynomial delay).  The max-flow works on the
 graph's bitmask rows: its residual network is one int per vertex and each
 breadth-first layer is one mask.  Either route hands its cuts over as
-arrays, side 1 as rows of uint64 words and the crossing counts as int64,
-which the solver's DP reads as they are.
+arrays, in ascending order of the side-1 mask (``cluedit cuts`` shows
+them by side-1 size, then mask): side 1 as rows of uint64 words, and as
+int64 the crossing count and e(V1), the number of edges inside side 1,
+which the solver's DP reads as they are.  The filter route reads both
+counts off its table; the branching route carries them on its stack,
+since a vertex joining side 1 adds its edges into side 1, the count the
+branch already takes for the other child's crossing.
 
 The cap on the number of k-cuts is exact counting, finite for every p and
 k: a YES instance is a cluster graph H of at most p cliques with at most k
@@ -144,6 +149,11 @@ def _members(words: np.ndarray, n: int) -> np.ndarray:
                          count=n, bitorder="little")
 
 
+def _sizes(words: np.ndarray) -> np.ndarray:
+    """The number of vertices in each row of `_words`, as int64."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
 def _lowest(words: np.ndarray, n: int) -> np.ndarray:
     """The lowest vertex of each row of `_words`; n for an empty row."""
     # trailing zeros of each word, 64 for a zero word
@@ -168,16 +178,19 @@ class CutIndex:
     """All k-cuts of a graph, in a deterministic order.
 
     Row i of ``words`` is side 1 of the i-th cut, in the layout of
-    `_words`, and ``crossing_counts[i]`` (int64) its crossing count.  The
-    rows are sorted by side-1 size, then by mask value, so the order is a
-    property of the cut set alone; it fixes what ``masks`` and
-    ``cluedit cuts`` list.  The solver's DP reads the rows as a set: its
-    tie-break is the smallest parent prefix, not a row position.
-    ``masks`` and ``crossing`` read the same cuts as Python ints.
+    `_words`, ``crossing_counts[i]`` (int64) its crossing count and
+    ``inside_counts[i]`` (int64) the number of edges inside side 1.  The
+    rows are sorted by mask value, so the order is a property of the cut
+    set alone; it fixes what ``masks`` lists.  ``cluedit cuts`` shows the
+    same cuts by (side-1 size, mask).  The solver's DP reads the rows as a
+    set: it sorts them by mask itself, and its tie-break is the smallest
+    parent prefix, not a row position.  ``masks`` and ``crossing`` read the
+    same cuts as Python ints.
     """
 
     words: np.ndarray
     crossing_counts: np.ndarray
+    inside_counts: np.ndarray
     stats: EnumStats = field(default_factory=EnumStats)
 
     @property
@@ -198,14 +211,13 @@ def enumerate_k_cuts(g: Graph, k: int, cap: int | None = None) -> CutIndex | Non
     """Enumerate every ordered k-cut of g exactly once, or abort.
 
     Returns None when there are more than *cap* cuts; cap None lists
-    them all.  The cuts come sorted by (side-1 size, side-1 mask),
-    whichever route finds them.  Up to ``_FILTER_N`` vertices nothing
-    branches: every mask is scored against ``m - e(S) - e(V - S) <= k``.
-    Beyond, a branching over the vertices in descending-degree order (ties
-    by id) runs on an explicit stack and keeps a child only if
-    ``min_cut_leq`` finds a completion within k.  The degree order only
-    steers the pruning: high-degree vertices placed first make the flow
-    test bite early.
+    them all.  The cuts come sorted by side-1 mask, whichever route finds
+    them.  Up to ``_FILTER_N`` vertices nothing branches: every mask is
+    scored against ``m - e(S) - e(V - S) <= k``.  Beyond, a branching over
+    the vertices in descending-degree order (ties by id) runs on an
+    explicit stack and keeps a child only if ``min_cut_leq`` finds a
+    completion within k.  The degree order only steers the pruning:
+    high-degree vertices placed first make the flow test bite early.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -221,40 +233,46 @@ def enumerate_k_cuts(g: Graph, k: int, cap: int | None = None) -> CutIndex | Non
         masks = np.flatnonzero(crossing <= k)  # ascending
         if cap is not None and masks.size > cap:
             return None
-        masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
         stats.explored = 1 << n
         stats.emitted = masks.size
         stats.pruned = stats.explored - stats.emitted
         return CutIndex(masks.astype(np.uint64).reshape(-1, 1),
-                        crossing[masks].astype(np.int64), stats)
+                        crossing[masks].astype(np.int64),
+                        inside[masks].astype(np.int64), stats)
 
     rows = g.rows
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    found: list[tuple[int, int]] = []  # (side 1, crossing)
-    stack = [(0, 0, 0, 0)]  # depth, side 1, side 2, crossing so far
+    found: list[tuple[int, int, int]] = []  # (side 1, crossing, inside)
+    # depth, side 1, side 2, crossing and inside edges so far
+    stack = [(0, 0, 0, 0, 0)]
     while stack:
-        depth, side1, side2, crossing = stack.pop()
+        depth, side1, side2, crossing, inside = stack.pop()
         if depth == n:
-            found.append((side1, crossing))
+            found.append((side1, crossing, inside))
             if cap is not None and len(found) > cap:
                 return None
             continue
         v = order[depth]
         bit = 1 << v
         height = len(stack)
-        for s1, s2, extra in ((side1 | bit, side2, (rows[v] & side2).bit_count()),
-                              (side1, side2 | bit, (rows[v] & side1).bit_count())):
+        # v's edges into side 1 lie inside it when v joins side 1, and
+        # cross the cut when v joins side 2
+        to1, to2 = (rows[v] & side1).bit_count(), (rows[v] & side2).bit_count()
+        for s1, s2, extra, gain in ((side1 | bit, side2, to2, to1),
+                                    (side1, side2 | bit, to1, 0)):
             stats.explored += 1
             if crossing + extra > k or not min_cut_leq(g, s1, s2, k):
                 stats.pruned += 1
             else:
-                stack.append((depth + 1, s1, s2, crossing + extra))
+                stack.append((depth + 1, s1, s2, crossing + extra,
+                              inside + gain))
         if len(stack) == height:
             stats.dead_ends += 1
     stats.emitted = len(found)
-    found.sort(key=lambda c: (c[0].bit_count(), c[0]))
-    return CutIndex(_words([m for m, _ in found], n),
-                    np.array([c for _, c in found], dtype=np.int64), stats)
+    found.sort()  # by side 1, which no two cuts share
+    return CutIndex(_words([c[0] for c in found], n),
+                    np.array([c[1] for c in found], dtype=np.int64),
+                    np.array([c[2] for c in found], dtype=np.int64), stats)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ to the line reader, which alone raises, so each error names its line.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from itertools import groupby
@@ -106,10 +107,13 @@ class Clustering:
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if set(self.assignment) != set(range(self.c)):
+        # ids from 0 whose distinct count is max + 1 are exactly 0..c-1
+        if (min(self.assignment, default=0) < 0
+                or len(set(self.assignment)) != self.c):
             raise ValueError("cluster ids must be dense 0..c-1 and nonempty")
 
-    @property
+    # a cached value, not a field: equality and hashing read the assignment
+    @functools.cached_property
     def c(self) -> int:
         return max(self.assignment, default=-1) + 1
 

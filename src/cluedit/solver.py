@@ -31,18 +31,16 @@ low(S), the lowest vertex outside the prefix S built so far.
 Cluster weights.  A clustering costs the sum over its clusters X of
 missing(X) = C(|X|, 2) - e(X), plus every edge between two clusters once.
 Such an edge crosses the boundary of both of its clusters, so twice the
-cost is the sum over X of 2 missing(X) + crossing(X), and with
-vol(X) = 2 e(X) + crossing(X), the sum of the degrees over X, that is the
-sum of
+cost is the sum over X of 2 missing(X) + crossing(X), that is the sum of
 
-    w(X) = |X| (|X| - 1) - vol(X) + 2 crossing(X),
+    w(X) = |X| (|X| - 1) - 2 e(X) + crossing(X),
 
-a weight of the cluster alone, whatever prefix it joins.  Both terms come
-from the enumeration's arrays as it hands them over: vol is one product
-of the degrees with the membership bits of the cut list's uint64 words,
-and crossing(X) is the cut list's int64 crossing count.  The module
-`cuts` owns that word layout; the DP reads the words only through its
-helpers (`_members`, `_lowest`, `_keys`, `_words`, `_mask`).
+a weight of the cluster alone, whatever prefix it joins.  Every term comes
+from the cut list as the enumeration hands it over: |X| is the popcount
+of its uint64 words, and e(X) and crossing(X) are its int64 inside and
+crossing counts.  The module `cuts` owns that word layout; the DP reads
+the words only through its helpers (`_sizes`, `_lowest`, `_keys`,
+`_words`, `_mask`).
 
 Candidates and states.  In a clustering of cost <= k every boundary edge
 is deleted, so each cluster X is a side of a k-cut, w(X) >= 0 for every
@@ -58,6 +56,13 @@ every filter, and every value at V is twice the cost of a real clustering,
 so layer j at V holds twice the optimum for exactly j clusters, or nothing
 when that optimum exceeds k, in both modes.  ``dp_states`` counts the
 (layer, prefix) states kept over layers 0..p.
+
+Layout.  The DP sorts the cut list by mask, so a state is the position of
+its prefix in the list: the empty set is the first row and V the last.
+Each cut's start key, low(S) times 2k + 1, is computed once per kernel,
+and a new prefix takes its own from the row its membership search found.
+Layer 1 needs no pairing: it is the candidates that hold vertex 0, each
+on the empty prefix.
 
 Tie-break.  Among the pairs that reach one prefix at the least F, the one
 from the smallest parent prefix, as an integer mask, wins.  So the
@@ -78,7 +83,7 @@ from math import comb
 import numpy as np
 
 # edges_inside_table is not used here; bench/spans.py patches it by name
-from .cuts import (CutIndex, _keys, _lowest, _mask, _members, _words,
+from .cuts import (CutIndex, _keys, _lowest, _mask, _sizes, _words,
                    cut_count_bound, edges_inside_table, enumerate_k_cuts)
 # connected_components is not used here; bench/spans.py patches it by name
 from .graph import (Clustering, Graph, apply_edits, bits, cluster_graph_of,
@@ -108,14 +113,12 @@ class SolveResult:
     stats: SolveStats
 
 
-def _weights(g: Graph, words: np.ndarray, crossing) -> np.ndarray:
-    """w(X) = |X|(|X| - 1) - vol(X) + 2 crossing(X) for each row X of
-    `_words`, where *crossing* lists the crossing counts of the rows."""
-    member = _members(words, g.n)
-    size = member.sum(axis=1, dtype=np.int64)
-    degree = np.array([row.bit_count() for row in g.rows], dtype=np.int64)
-    return (size * (size - 1) - member @ degree
-            + 2 * np.asarray(crossing, dtype=np.int64))
+def _weights(words: np.ndarray, crossing: np.ndarray,
+             inside: np.ndarray) -> np.ndarray:
+    """w(X) = |X|(|X| - 1) - 2 e(X) + crossing(X) for each row X of
+    `_words`, given the rows' crossing and inside-edge counts (int64)."""
+    size = _sizes(words)
+    return size * (size - 1) - 2 * inside + crossing
 
 
 def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
@@ -131,58 +134,68 @@ def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
     """
     n = g.n
     budget = 2 * k
-    cut_words = cuts.words
-    weight = _weights(g, cut_words, cuts.crossing_counts)
-    cand = np.flatnonzero((weight <= budget) & cut_words.any(axis=1))
-    low = _lowest(cut_words[cand], n)
-    order = np.lexsort((weight[cand], low))
-    cand_words, cand_weight = cut_words[cand[order]], weight[cand[order]]
+    # the rows in mask order, so that a state is the position of its mask:
+    # the empty set is row 0, and V, a cut of every graph, the last row
+    keys = _keys(cuts.words)
+    rank = np.argsort(keys, kind="stable")
+    cut_keys, cut_words = keys[rank], cuts.words[rank]
+    weight = _weights(cut_words, cuts.crossing_counts[rank],
+                      cuts.inside_counts[rank])
+    # each cut's start key, where the candidates a prefix can take begin:
+    # its lowest missing vertex (n for V) times budget + 1
+    full = _words([(1 << n) - 1], n)
+    cut_start = _lowest(~cut_words & full, n) * (budget + 1)
+    # the nonempty cuts within budget (row 0, the empty set, weighs 0)
+    cand = np.flatnonzero(weight <= budget)[1:]
+    cand_key = _lowest(cut_words[cand], n) * (budget + 1) + weight[cand]
+    layers = [(np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.int64), None)]
+    # layer 1: the candidates holding vertex 0, in mask order, each on the
+    # empty prefix
+    first = cand[cand_key <= budget]
+    if p and len(first):
+        layers.append((first, weight[first], np.zeros(len(first), np.intp)))
     # candidates by lowest vertex, then weight: those a state can afford
     # are one run of positions
-    cand_key = low[order] * (budget + 1) + cand_weight
-    cut_keys = np.sort(_keys(cut_words))
-    # a copy of the largest key past the end: a search past it lands there
-    cut_keys = np.concatenate((cut_keys, cut_keys[-1:]))
-    full = _words([(1 << n) - 1], n)
-    words = np.zeros((1, full.shape[1]), dtype=np.uint64)
-    spent = np.zeros(1, dtype=np.int64)
-    layers = [(words, spent, None)]
-    for _ in range(p):
+    order = np.argsort(cand_key, kind="stable")
+    cand, cand_key = cand[order], cand_key[order]
+    cand_words, cand_weight = cut_words[cand], weight[cand]
+    while 1 < len(layers) <= p:
+        pos, spent, _ = layers[-1]
         # pair state src with candidate pick: those holding the lowest
         # vertex outside the state and within the budget it has left
-        start = _lowest(~words & full, n) * (budget + 1)
-        lo = np.searchsorted(cand_key, start)
-        counts = np.searchsorted(cand_key, start + budget - spent,
-                                 side="right") - lo
-        src = np.repeat(np.arange(len(spent)), counts)
+        start = cut_start[pos]
+        lo, hi = np.searchsorted(cand_key, np.concatenate(
+            (start, start + budget + 1 - spent))).reshape(2, -1)
+        counts = hi - lo
+        src = np.repeat(np.arange(len(pos)), counts)
         pick = np.arange(len(src)) + np.repeat(lo - np.cumsum(counts)
                                                + counts, counts)
-        prefix, cluster = words[src], cand_words[pick]
-        union = prefix | cluster
-        key = _keys(union)
-        ok = ((cut_keys[np.searchsorted(cut_keys[:-1], key)] == key)
-              & ~(prefix & cluster).any(axis=1))
+        prefix, cluster = cut_words[pos[src]], cand_words[pick]
+        key = _keys(prefix | cluster)
+        # every union lies in V, the largest key, so the search stays inside
+        at = np.searchsorted(cut_keys, key)
+        ok = (cut_keys[at] == key) & ~(prefix & cluster).any(axis=1)
         if not ok.any():
             break
-        src, union, key = src[ok], union[ok], key[ok]
+        src, at = src[ok], at[ok]
         total = spent[src] + cand_weight[pick[ok]]
-        # by mask, then F, then parent: the first of each mask is kept
-        order = np.lexsort((src, total, *union.T))
-        key = key[order]
-        first = order[np.concatenate(([True], key[1:] != key[:-1]))]
-        words, spent = union[first], total[first]
-        layers.append((words, spent, src[first]))
+        # by mask, then F, then parent (src ascends and the sort is
+        # stable): the first of each mask is kept
+        order = np.lexsort((total, at))
+        at = at[order]
+        first = np.concatenate(([True], at[1:] != at[:-1]))
+        layers.append((at[first], total[order][first], src[order][first]))
     stats.dp_states = sum(len(layer[1]) for layer in layers)
     # a layer reaches V iff its last state, the largest mask, is V
-    reach = [j for j, (w, _, _) in enumerate(layers)
-             if (at_most or j == p) and np.array_equal(w[-1], full[0])]
+    reach = [j for j, (pos, _, _) in enumerate(layers)
+             if (at_most or j == p) and pos[-1] == len(cut_keys) - 1]
     if not reach:
         return None
     # ties go to the fewest clusters
     last = min(reach, key=lambda j: (layers[j][1][-1], j))
     chain, at = [], len(layers[last][1]) - 1
-    for words, _, parent in reversed(layers[:last + 1]):
-        chain.append(_mask(words[at]))
+    for pos, _, parent in reversed(layers[:last + 1]):
+        chain.append(_mask(cut_words[pos[at]]))
         if parent is not None:
             at = parent[at]
     chain.reverse()
@@ -263,7 +276,15 @@ def _solve(inst: Instance, cap: int | None) -> SolveResult:
 def _finish(inst: Instance, outcome: PreprocessOutcome, reduced_cl: Clustering,
             stats: SolveStats) -> SolveResult:
     cl = lift_clustering(outcome, reduced_cl, inst.g.n)
-    edits = clustering_to_edit_set(inst.g, cl)
+    # the removed components are clusters as they stand, so every edit lies
+    # in the kernel: its edit set, taken to the input through vertex_map
+    kernel_edits = clustering_to_edit_set(outcome.instance.g, reduced_cl)
+    vmap = outcome.vertex_map
+    rows = [0] * inst.g.n
+    for v, row in enumerate(kernel_edits.rows):
+        for u in bits(row):
+            rows[vmap[v]] |= 1 << vmap[u]
+    edits = Graph(tuple(rows))
     sol = Solution(cl, edits, edits.m)
     if not verify_solution(inst, sol):
         raise AssertionError("internal error: solver produced a bad solution")

@@ -288,9 +288,12 @@ def test_cuts_stream_across_words_and_blocks(graph_file):
         res = run_cli("cuts", graph_file(g), "--k", str(k))
         assert res.returncode == 0
         index = enumerate_k_cuts(g, k)
+        # listed by (side-1 size, mask)
+        listed = sorted(zip(index.masks, index.crossing),
+                        key=lambda cut: (cut[0].bit_count(), cut[0]))
         assert res.stdout.splitlines() == [
             "".join("1" if mask >> v & 1 else "0" for v in range(g.n)) + f" {c}"
-            for mask, c in zip(index.masks, index.crossing)]
+            for mask, c in listed]
 
 
 def test_cuts_count_only_with_bound(graph_file):

@@ -100,8 +100,8 @@ def test_triangle_frozen_counts():
 
 
 def test_output_order_and_determinism(monkeypatch):
-    # both routes list the cuts by (side-1 size, mask), so the order is a
-    # property of the cut set and not of how the search found it
+    # both routes list the cuts by side-1 mask, so the order is a property
+    # of the cut set and not of how the search found it
     for filter_n in (cuts._FILTER_N, -1):
         monkeypatch.setattr(cuts, "_FILTER_N", filter_n)
         rng = random.Random(47)
@@ -113,8 +113,7 @@ def test_output_order_and_determinism(monkeypatch):
             a = enumerate_k_cuts(g, k)
             b = enumerate_k_cuts(g, k)
             assert a.masks == b.masks and a.crossing == b.crossing
-            assert a.masks == sorted(a.masks,
-                                     key=lambda m: (m.bit_count(), m))
+            assert a.masks == sorted(a.masks)
             brute = dict(oracles.ordered_cuts(n, edges, k))
             assert a.crossing == [brute[m] for m in a.masks]
 
@@ -261,17 +260,31 @@ def _cut_graphs():
                          ids=["filter", "flow"])
 def test_cut_index_arrays_match_their_list_views(monkeypatch, filter_n):
     # on both routes: side 1 of each cut is one row of uint64 words, the
-    # crossing counts are int64, and the list views read the same cuts
+    # crossing and inside counts are int64, and the list views read the
+    # same cuts
     monkeypatch.setattr(cuts, "_FILTER_N", filter_n)
     for g, k in _cut_graphs():
         index = enumerate_k_cuts(g, k)
         assert index.words.dtype == np.uint64
         assert index.words.shape == (len(index), max(1, -(-g.n // 64)))
-        assert index.crossing_counts.dtype == np.int64
-        assert index.crossing_counts.shape == (len(index),)
+        for counts in (index.crossing_counts, index.inside_counts):
+            assert counts.dtype == np.int64
+            assert counts.shape == (len(index),)
         assert index.masks == [sum(int(w) << 64 * i for i, w in enumerate(row))
                                for row in index.words]
         assert index.crossing == index.crossing_counts.tolist()
+
+
+@pytest.mark.parametrize("filter_n", [cuts._FILTER_N + 1, -1],
+                         ids=["filter", "flow"])
+def test_inside_counts_match_a_brute_edge_count(monkeypatch, filter_n):
+    monkeypatch.setattr(cuts, "_FILTER_N", filter_n)
+    for g, k in _cut_graphs():
+        edges = list(g.edges())
+        index = enumerate_k_cuts(g, k)
+        assert index.inside_counts.tolist() == [
+            sum(1 for u, v in edges if mask >> u & 1 and mask >> v & 1)
+            for mask in index.masks]
 
 
 def test_cut_count_bound_frozen_values():

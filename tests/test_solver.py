@@ -14,7 +14,7 @@ from cluedit import (Clustering, CutIndex, Graph, Instance, Solution,
                      verify_solution)
 from cluedit import solver
 from cluedit.bruteforce import oracle_best_cost
-from cluedit.graph import bits
+from cluedit.graph import bits, clustering_to_edit_set
 from cluedit.solver import (SolveResult, SolveStats, _dp_numpy,
                             result_to_dict)
 
@@ -247,7 +247,8 @@ def test_dp_reads_the_cut_list_as_a_set():
     for g, k, counts in _dp_cases(rng):
         cuts = enumerate_k_cuts(g, k)
         perm = shuffle.permutation(len(cuts))
-        shuffled = CutIndex(cuts.words[perm], cuts.crossing_counts[perm])
+        shuffled = CutIndex(cuts.words[perm], cuts.crossing_counts[perm],
+                            cuts.inside_counts[perm])
         for p, at_most in itertools.product(counts, (False, True)):
             want_stats, stats = SolveStats(), SolveStats()
             chain = _dp_numpy(g, cuts, p, k, want_stats, at_most)
@@ -289,8 +290,12 @@ def test_cluster_weights_sum_to_twice_the_editing_cost():
         parts = list(oracles.partitions(range(n)))
         masks = [mask_of(block) for part in parts for block in part]
         crossing = {m: oracles.crossing_count(n, edges, m) for m in set(masks)}
-        weights = solver._weights(g, solver._words(masks, n),
-                                  [crossing[m] for m in masks])
+        inside = {m: sum(1 for u, v in edges if m >> u & 1 and m >> v & 1)
+                  for m in set(masks)}
+        weights = solver._weights(
+            solver._words(masks, n),
+            np.array([crossing[m] for m in masks], dtype=np.int64),
+            np.array([inside[m] for m in masks], dtype=np.int64))
         starts = np.cumsum([0] + [len(part) for part in parts[:-1]])
         sums = np.add.reduceat(weights, starts)
         assert sums.tolist() == [2 * oracles.editing_cost(n, edges, part)
@@ -478,3 +483,29 @@ def test_zero_p_degenerate_cases():
     assert not solve_exact_p(Instance(Graph.empty(2), 0, 5, "exact")).answer
     assert solve_at_most_p(Instance(Graph.empty(0), 0, 0, "at_most")).answer
     assert not solve_at_most_p(Instance(Graph.empty(2), 0, 5, "at_most")).answer
+
+
+def test_edit_set_lifted_from_the_kernel():
+    # Rules 2 and 3 peel clique components, which are clusters as they
+    # stand and touch no edit, so the kernel's edit set taken through
+    # vertex_map is the edit set of the whole lifted clustering
+    rng = random.Random(103)
+    fired, yes = set(), 0
+    for _ in range(20):
+        # k = 1 keeps the kernels to the filter route
+        k = 1
+        n = rng.randint(20, 40)
+        p = rng.randint(7, 16)
+        blocks = oracles.random_blocks(rng, n, p)
+        edges = oracles.perturb(rng, n, oracles.blocks_to_edges(blocks),
+                                rng.randint(0, k))
+        g = Graph.from_edges(n, edges)
+        for solve, mode in ((solve_exact_p, "exact"),
+                            (solve_at_most_p, "at_most")):
+            res = solve(Instance(g, p, k, mode))
+            fired.update(res.stats.rules_applied)
+            if res.answer:
+                yes += 1
+                assert res.solution.edits == clustering_to_edit_set(
+                    g, res.solution.clustering)
+    assert {"rule2", "rule3"} <= fired and yes >= 20
