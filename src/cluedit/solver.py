@@ -43,19 +43,36 @@ the words only through its helpers (`_sizes`, `_lowest`, `_keys`,
 `_words`, `_mask`).
 
 Candidates and states.  In a clustering of cost <= k every boundary edge
-is deleted, so each cluster X is a side of a k-cut, w(X) >= 0 for every
-cluster and w(X) <= 2k; the candidates are the cut sides that pass this
-test.  For the same reason every prefix of its canonical chain, a union of
-clusters, is a k-cut, and every partial sum of its weights is <= 2k.  So
-layer j of the DP maps each prefix S that is a k-cut to F, the least
-weight of j candidate clusters that tile S, each holding the lowest vertex
-it leaves out: layer j + 1 pairs each S with the candidates X with
-min(X) = low(S), X disjoint from S, F + w(X) <= 2k and S u X a cut, and
-keeps the least F per new prefix.  The optimal clustering's chain survives
-every filter, and every value at V is twice the cost of a real clustering,
-so layer j at V holds twice the optimum for exactly j clusters, or nothing
-when that optimum exceeds k, in both modes.  ``dp_states`` counts the
-(layer, prefix) states kept over layers 0..p.
+is deleted, so each cluster X is a side of a k-cut, and for the same
+reason every prefix of its canonical chain, a union of clusters, is a
+k-cut.  Write w(X) = 2 missing(X) + crossing(X), so every weight is >= 0,
+and let T <= 2k be the value of a chain, the sum of its clusters'
+weights.  Two lower bounds on T decide what the DP keeps:
+
+* a cluster X: each edge leaving X also leaves the cluster at its other
+  end, whose weight counts it again, so T >= w(X) + crossing(X).  The
+  candidates are the cut sides with w(X) + crossing(X) <= 2k, that is
+  missing(X) + crossing(X) <= k;
+* a prefix S of value F: the clusters still to come tile V - S, and each
+  edge leaving S also leaves one of them, so T >= F + crossing(S).  A new
+  state is kept only if F + crossing(S) <= 2k.
+
+Layer j of the DP maps each prefix S that is a k-cut and passes the state
+test to F, the least weight of j candidate clusters that tile S, each
+holding the lowest vertex it leaves out: layer j + 1 pairs each S with the
+candidates X with min(X) = low(S), X disjoint from S, F + w(X) <= 2k and
+S u X a cut that passes the state test, and keeps the least F per new
+prefix.  Neither test changes a value or a chain the DP returns.  Every
+state and candidate on a chain of value <= 2k passes both tests.  The
+clusters after a prefix S depend on S alone, so if S lies on such a chain
+at some F, it does at its least F, and so does every parent that reaches S
+at that least F.  By induction on the layer, each such S keeps its least F
+and the same set of parents that reach it there, so the tie-break below
+picks the same one.  Layer j at V has crossing(V) = 0 and F <= 2k, so every
+value there is kept: twice the cost of a real clustering, twice the
+optimum for exactly j clusters, or nothing when that optimum exceeds k, in
+both modes.  ``dp_states`` counts the (layer, prefix) states kept over
+layers 0..p, after both tests.
 
 Layout.  The DP sorts the cut list by mask, so a state is the position of
 its prefix in the list: the empty set is the first row and V the last.
@@ -86,8 +103,8 @@ import numpy as np
 from .cuts import (CutIndex, _keys, _lowest, _mask, _sizes, _words,
                    cut_count_bound, edges_inside_table, enumerate_k_cuts)
 # connected_components is not used here; bench/spans.py patches it by name
-from .graph import (Clustering, Graph, apply_edits, bits, cluster_graph_of,
-                    clustering_to_edit_set, connected_components)
+from .graph import (Clustering, Graph, bits, clustering_to_edit_set,
+                    connected_components)
 from .preprocess import Instance, PreprocessOutcome, lift_clustering, preprocess
 
 
@@ -127,36 +144,45 @@ def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
 
     Returns the chain of prefix masks, from the empty set to V, of an
     optimal solution with exactly p clusters, or with the cheapest count in
-    0..p when *at_most* (ties go to the fewest clusters), or None.  Its
-    int64 keys reach about 2kn, which `_solve` keeps small by clamping k
-    to C(n, 2).  ``dp_reference`` in ``tests/oracles.py`` is its python-int
-    reference, with the same states, tie-break and ``dp_states``.
+    0..p when *at_most* (ties go to the fewest clusters), or None.  It
+    keeps only the candidates with w(X) + crossing(X) <= 2k and the states
+    with F + crossing(S) <= 2k (see the module docstring).  S and X are
+    disjoint iff S + X = S | X in every uint64 word: a word's sum is
+    (S | X) + (S & X), and S & X is below 2^64, so even the wrapped sum
+    equals the union only when S & X = 0.  Its int64 keys reach about 2kn,
+    which `_solve` keeps small by clamping k to C(n, 2).  ``dp_reference``
+    in ``tests/oracles.py`` is its python-int reference, with the same
+    states, tie-break and ``dp_states``.
     """
     n = g.n
     budget = 2 * k
     # the rows in mask order, so that a state is the position of its mask:
     # the empty set is row 0, and V, a cut of every graph, the last row
     keys = _keys(cuts.words)
-    rank = np.argsort(keys, kind="stable")
+    rank = keys.argsort(kind="stable")
     cut_keys, cut_words = keys[rank], cuts.words[rank]
-    weight = _weights(cut_words, cuts.crossing_counts[rank],
-                      cuts.inside_counts[rank])
-    # each cut's start key, where the candidates a prefix can take begin:
-    # its lowest missing vertex (n for V) times budget + 1
+    crossing = cuts.crossing_counts[rank]
+    weight = _weights(cut_words, crossing, cuts.inside_counts[rank])
+    # the nonempty cuts that some chain within budget can hold (row 0, the
+    # empty set, passes the test)
+    cand = np.flatnonzero(weight + crossing <= budget)[1:]
+    # one pass over the candidates and the complements of all cuts: each
+    # candidate's lowest vertex, and each cut's start key, where the
+    # candidates a prefix can take begin (its lowest missing vertex, n for
+    # V), both times budget + 1
     full = _words([(1 << n) - 1], n)
-    cut_start = _lowest(~cut_words & full, n) * (budget + 1)
-    # the nonempty cuts within budget (row 0, the empty set, weighs 0)
-    cand = np.flatnonzero(weight <= budget)[1:]
-    cand_key = _lowest(cut_words[cand], n) * (budget + 1) + weight[cand]
+    low = _lowest(np.concatenate((cut_words[cand], ~cut_words & full)),
+                  n) * (budget + 1)
+    cand_key, cut_start = low[:len(cand)] + weight[cand], low[len(cand):]
     layers = [(np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.int64), None)]
     # layer 1: the candidates holding vertex 0, in mask order, each on the
-    # empty prefix
+    # empty prefix; the candidate test is their state test
     first = cand[cand_key <= budget]
     if p and len(first):
         layers.append((first, weight[first], np.zeros(len(first), np.intp)))
     # candidates by lowest vertex, then weight: those a state can afford
     # are one run of positions
-    order = np.argsort(cand_key, kind="stable")
+    order = cand_key.argsort(kind="stable")
     cand, cand_key = cand[order], cand_key[order]
     cand_words, cand_weight = cut_words[cand], weight[cand]
     while 1 < len(layers) <= p:
@@ -164,27 +190,32 @@ def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
         # pair state src with candidate pick: those holding the lowest
         # vertex outside the state and within the budget it has left
         start = cut_start[pos]
-        lo, hi = np.searchsorted(cand_key, np.concatenate(
+        lo, hi = cand_key.searchsorted(np.concatenate(
             (start, start + budget + 1 - spent))).reshape(2, -1)
         counts = hi - lo
-        src = np.repeat(np.arange(len(pos)), counts)
-        pick = np.arange(len(src)) + np.repeat(lo - np.cumsum(counts)
-                                               + counts, counts)
+        src = np.arange(len(pos)).repeat(counts)
+        pick = np.arange(len(src)) + (lo - counts.cumsum()
+                                      + counts).repeat(counts)
         prefix, cluster = cut_words[pos[src]], cand_words[pick]
         key = _keys(prefix | cluster)
         # every union lies in V, the largest key, so the search stays inside
-        at = np.searchsorted(cut_keys, key)
-        ok = (cut_keys[at] == key) & ~(prefix & cluster).any(axis=1)
-        if not ok.any():
+        at = cut_keys.searchsorted(key)
+        total = spent[src] + cand_weight[pick]
+        # the union is a cut, the two are disjoint (no word of the sum
+        # carries), and the edges leaving the union still fit the budget
+        ok = ((cut_keys[at] == key)
+              & (_keys(prefix + cluster) == key)
+              & (total + crossing[at] <= budget))
+        src, at, total = src[ok], at[ok], total[ok]
+        if not len(at):
             break
-        src, at = src[ok], at[ok]
-        total = spent[src] + cand_weight[pick[ok]]
         # by mask, then F, then parent (src ascends and the sort is
         # stable): the first of each mask is kept
         order = np.lexsort((total, at))
         at = at[order]
         first = np.concatenate(([True], at[1:] != at[:-1]))
-        layers.append((at[first], total[order][first], src[order][first]))
+        keep = order[first]
+        layers.append((at[first], total[keep], src[keep]))
     stats.dp_states = sum(len(layer[1]) for layer in layers)
     # a layer reaches V iff its last state, the largest mask, is V
     reach = [j for j, (pos, _, _) in enumerate(layers)
@@ -294,14 +325,19 @@ def _finish(inst: Instance, outcome: PreprocessOutcome, reduced_cl: Clustering,
 def verify_solution(inst: Instance, sol: Solution) -> bool:
     """Recheck a solution from scratch; independent of solver internals.
 
-    The edited graph equals the clustering's cluster graph iff it is a
-    cluster graph whose components are exactly the clusters.
+    The edited graph is the clustering's cluster graph iff the edited row
+    of each vertex v, ``g.rows[v] ^ edits.rows[v]``, is the mask of v's
+    cluster without v.  The check reads the assignment alone and builds no
+    second graph.
     """
-    if len(sol.clustering.assignment) != inst.g.n or sol.edits.n != inst.g.n:
+    assignment = sol.clustering.assignment
+    if len(assignment) != inst.g.n or sol.edits.n != inst.g.n:
         return False
     if sol.edits.m != sol.cost or sol.cost > inst.k:
         return False
-    if apply_edits(inst.g, sol.edits) != cluster_graph_of(inst.g.n, sol.clustering):
+    masks = sol.clustering.cluster_masks()
+    if not all(row ^ edit == masks[a] ^ 1 << v for v, (row, edit, a)
+               in enumerate(zip(inst.g.rows, sol.edits.rows, assignment))):
         return False
     if inst.mode == "exact":
         return sol.clustering.c == inst.p

@@ -339,19 +339,25 @@ def chain_optima(g: Graph, masks, p: int, k: int) -> list:
 
 
 def dp_reference(g: Graph, cuts: CutIndex, p: int, k: int,
-                 stats: SolveStats, at_most: bool = False) -> list[int] | None:
+                 stats: SolveStats, at_most: bool = False,
+                 prune: bool = True) -> list[int] | None:
     """Reference of `solver._dp_numpy` on python ints, with the same
-    signature, states, tie-break and ``dp_states``; tests compare the two."""
+    signature, states, tie-break and ``dp_states``; tests compare the two.
+
+    With *prune* it keeps, as `_dp_numpy` does, only the candidates X with
+    w(X) + crossing(X) <= 2k and the new states S with F + crossing(S) <=
+    2k; without it, every candidate with w(X) <= 2k and every state within
+    budget, the rule before those filters."""
     n = g.n
     full = (1 << n) - 1
     budget = 2 * k
-    is_cut = set(cuts.masks)
+    crossing_of = dict(zip(cuts.masks, cuts.crossing))
     by_low: dict[int, list[tuple[int, int]]] = {}
-    for x, crossing in zip(cuts.masks, cuts.crossing):
+    for x, crossing in crossing_of.items():
         size = x.bit_count()
         w = (size * (size - 1) - sum(g.rows[v].bit_count() for v in bits(x))
              + 2 * crossing)
-        if x and w <= budget:
+        if x and w + (crossing if prune else 0) <= budget:
             by_low.setdefault((x & -x).bit_length() - 1, []).append((x, w))
     layers: list[dict[int, tuple[int, int]]] = [{0: (0, -1)}]  # S: (F, parent)
     for _ in range(p):
@@ -360,7 +366,8 @@ def dp_reference(g: Graph, cuts: CutIndex, p: int, k: int,
         for s, (f, _) in sorted(layers[-1].items()):
             for x, w in by_low.get((~s & (s + 1)).bit_length() - 1, ()):
                 u = s | x
-                if (not x & s and f + w <= budget and u in is_cut
+                if (not x & s and u in crossing_of
+                        and f + w + (crossing_of[u] if prune else 0) <= budget
                         and f + w < nxt.get(u, (budget + 1,))[0]):
                     nxt[u] = (f + w, s)
         if not nxt:

@@ -196,9 +196,9 @@ AT_MOST_CODES = [0, 1, 0, 0, 0, 0, 1, 0]
 # SHA-256 of the stdout of all PINNED_CASES in order
 PINNED_STDOUT = {
     ("solve", "json", "exact"):
-        "68fd7f7ca6245957fa24f53a7ad781cc211e8744d5f31c6ffff81e1afcb4f2b4",
+        "6ab65b00a22b50c5a4072fdace6cdccdee816f3f5959ffbd30e2bb646d865cb8",
     ("solve", "json", "at-most"):
-        "391d7be2d4bb998faeacade54f6341d6a8996c6ed213043155031e42d34602e0",
+        "eefd351a029a772b5fa1467712b46747a0413fded9b41590d0db406751ba3653",
     ("solve", "text", "exact"):
         "e882cb52cac487e43f0b86a17a4d859295b6d6252b12a7cc713dc59b91ee9cc7",
     ("solve", "text", "at-most"):

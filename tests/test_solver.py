@@ -238,6 +238,46 @@ def test_dp_backends_agree():
             assert stats.dp_states == want_stats.dp_states
 
 
+def test_pruning_keeps_the_chain_and_drops_states():
+    # a state or candidate that no chain within budget can hold is dropped,
+    # so the chain is the one the DP without the filters returns, from no
+    # more states
+    rng = random.Random(89)
+    for g, k, counts in _dp_cases(rng):
+        cuts = enumerate_k_cuts(g, k)
+        for p, at_most in itertools.product(counts, (False, True)):
+            full_stats, stats = SolveStats(), SolveStats()
+            chain = oracles.dp_reference(g, cuts, p, k, full_stats, at_most,
+                                         prune=False)
+            assert _dp_numpy(g, cuts, p, k, stats, at_most) == chain
+            assert stats.dp_states <= full_stats.dp_states
+
+
+@pytest.mark.parametrize("head", [1, 65])
+def test_dp_never_joins_overlapping_sides(head):
+    # a clique H on vertices 0..head-1, then a triangle a, b, z with one
+    # edge from z into H.  On the full cut list an overlapping pair never
+    # beats a disjoint one, so this sub-list leaves out {a, b}: the one
+    # route from the prefix H + z to V is then the cluster {a, b, z}, which
+    # shares z and fits the budget.  At head = 65 the sides span two words
+    a, b, z = head, head + 1, head + 2
+    n, full = head + 3, (1 << head + 3) - 1
+    edges = list(itertools.combinations(range(head), 2)) + [
+        (0, z), (a, b), (a, z), (b, z)]
+    g = Graph.from_edges(n, edges)
+    masks = [0, full ^ 1 << a ^ 1 << b, 1 << a | 1 << b | 1 << z, full]
+    cuts = CutIndex(
+        solver._words(masks, n),
+        np.array([oracles.crossing_count(n, edges, m) for m in masks],
+                 dtype=np.int64),
+        np.array([sum(1 for u, v in edges if m >> u & 1 and m >> v & 1)
+                  for m in masks], dtype=np.int64))
+    want_stats, stats = SolveStats(), SolveStats()
+    assert oracles.dp_reference(g, cuts, 2, head + 1, want_stats) is None
+    assert _dp_numpy(g, cuts, 2, head + 1, stats) is None
+    assert stats.dp_states == want_stats.dp_states
+
+
 def test_dp_reads_the_cut_list_as_a_set():
     # the tie-break is the smallest parent prefix, not a row position, so
     # shuffling the rows of the cut list moves neither the chain nor the
