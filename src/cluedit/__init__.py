@@ -10,7 +10,7 @@ from .bruteforce import ORACLE_LIMIT, oracle_best_cost
 from .cnf import (CnfFormula, brute_force_sat, format_dimacs, parse_assignment,
                   parse_dimacs, read_dimacs, satisfies)
 from .cuts import (CutIndex, cut_count_bound, edges_inside_table,
-                   enumerate_k_cuts, min_cut_leq)
+                   enumerate_k_cuts)
 from .graph import (Clustering, Graph, apply_edits, clustering_to_edit_set,
                     cluster_graph_of, connected_components, format_graph,
                     induced_subgraph, is_cluster_graph, parse_graph,

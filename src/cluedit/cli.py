@@ -111,8 +111,8 @@ def cmd_cuts(args) -> int:
     g = read_graph(args.graph)
     cuts = enumerate_k_cuts(g, args.k, args.cap)
     if cuts is None:
-        print(f"error: enumeration aborted, more than {args.cap} cuts",
-              file=sys.stderr)
+        print(f"error: enumeration aborted, more than {args.cap} cuts "
+              "in the graph or in a half it is joined from", file=sys.stderr)
         return EXIT_UNKNOWN
     if args.count_only:
         out: dict = {"count": len(cuts)}
@@ -215,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--cap", type=int, default=None,
-                    help="stop once more than this many cuts appear "
-                         "(exit 3, nothing printed)")
+                    help="stop once the graph, or a half it is joined "
+                         "from, has more than this many cuts (exit 3, "
+                         "nothing printed)")
     sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--p", type=int, default=None,
                     help="compare the count against the cut bound "

@@ -1,27 +1,37 @@
-"""Ordered small cuts: enumeration, its feasibility test, counting bounds.
+"""Ordered small cuts: enumeration, counting bounds.
 
 A k-cut of G is an ordered bipartition (V1, V2) of the vertex set with at
-most k crossing edges; V1 and V2 may be empty.  Small graphs need no
-search: the k-cuts are exactly the masks S with m - e(S) - e(V - S) <= k,
-read off one 2^n table of inside-edge counts.  Larger graphs branch vertex
-by vertex on an explicit stack and prune a branch as soon as a max-flow
-test shows that no completion stays within k, so every surviving branch
-emits at least one cut (polynomial delay).  The max-flow works on the
-graph's bitmask rows: its residual network is one int per vertex and each
-breadth-first layer is one mask.  Either route hands its cuts over as
-arrays, in ascending order of the side-1 mask (``cluedit cuts`` shows
-them by side-1 size, then mask): side 1 as rows of uint64 words, and as
-int64 the crossing count and e(V1), the number of edges inside side 1,
-which the solver's DP reads as they are.  The filter route reads both
-counts off its table; the branching route carries them on its stack,
-since a vertex joining side 1 adds its edges into side 1, the count the
-branch already takes for the other child's crossing.
+most k crossing edges; V1 and V2 may be empty.  The cuts are listed by
+vertex-id ranges.  A range of at most ``LEAF`` vertices needs no search:
+its k-cuts are exactly the masks S with m - e(S) - e(V - S) <= k, read
+off one 2^n table of inside-edge counts.  A longer range [lo, hi) joins
+the lists of its halves A = [lo, mid) and B = [mid, hi): the restriction
+of a k-cut to a half is a k-cut of that half, because the crossing edges
+of G[A] are crossing edges of G, so every k-cut is a pair of listed
+half-cuts.  With d(X) the number of edges from X to the other half,
+
+    crossing(S_A + S_B) = cr_A(S_A) + cr_B(S_B) + d(S_A) + d(S_B)
+                          - 2 e(S_A, S_B),
+    e(S_A + S_B) = e(S_A) + e(S_B) + e(S_A, S_B),
+
+and e(S_A, S_B) for every pair is one matrix product of the halves'
+membership matrices with the adjacency block between them.  Every list
+is handed over as arrays, in ascending order of the side-1 mask
+(``cluedit cuts`` shows them by side-1 size, then mask): side 1 as rows
+of uint64 words, and as int64 the crossing count and e(V1), the number of
+edges inside side 1, which the solver's DP reads as they are.  The time is
+polynomial in n and in the longest list, that of G or of a range it is
+joined from; a list comes out whole, so there is no polynomial delay.
 
 The cap on the number of k-cuts is exact counting, finite for every p and
 k: a YES instance is a cluster graph H of at most p cliques with at most k
 pairs toggled, so each of its k-cuts crosses at most 2k edges of H, and
 `cut_count_bound` counts the ways to cut p cliques across at most 2k of
-their edges.  More k-cuts than that proves the instance NO.
+their edges.  More k-cuts than that proves the instance NO.  The same
+holds for every range A the list is joined from: if G is within k edits F
+of H, then G[A] is within the edits of F inside A, at most k, of H[A], a
+cluster graph of at most p cliques.  So a range whose list exceeds the
+bound is a proven NO too, and an abort there is as sound as one on G.
 """
 from __future__ import annotations
 
@@ -33,10 +43,14 @@ import numpy as np
 
 from .graph import Graph, bits
 
-# up to this vertex count enumeration filters all 2^n masks instead of
-# branching with max-flow tests: far cheaper per kernel while 2^n is small,
-# and past it the table's time and memory outgrow the flow search
-_FILTER_N = 16
+# a vertex range of at most this many vertices is listed from its 2^n
+# table; past it the table's time and memory outgrow joining two halves
+LEAF = 16
+
+# the join scores at most this many pairs of half-cuts at a time, so its
+# float64 scores take 256 KiB whatever the lists' lengths; larger blocks
+# join no faster and raise the process's peak memory
+_PAIRS = 1 << 15
 
 
 def min_cut_leq(g: Graph, a: int, b: int, k: int) -> bool:
@@ -48,6 +62,9 @@ def min_cut_leq(g: Graph, a: int, b: int, k: int) -> bool:
     ``out[u]`` is set while u sends a unit to v, which saturates the arc
     u->v, and each path comes from a breadth-first search whose layers are
     masks.  Empty a or b cuts nothing, so always True.
+
+    No enumeration calls it any more; it stays because the benchmark's
+    tracer, ``bench/spans.py``, patches it by name.
     """
     if a & b or (a | b) >> g.n:  # a negative mask shifts to nonzero too
         raise ValueError("sides must be disjoint vertex masks of g")
@@ -114,17 +131,13 @@ def edges_inside_table(g: Graph) -> np.ndarray:
 
 @dataclass
 class EnumStats:
-    """Work counters.  On the branching route ``explored`` counts branch
-    decisions and ``pruned`` the children cut off; a dead end is a kept
-    branch whose two children are both pruned, and exact pruning leaves
-    none, which by induction on depth means every kept subtree emits a
-    cut (polynomial delay).  On the filter route ``explored`` counts the
-    2^n masks scored and ``pruned`` those crossing more than k edges."""
+    """Work counters.  ``explored`` counts the 2^n masks scored in each
+    table plus the pairs of half-cuts scored in each join, ``pruned`` those
+    of them crossing more than k edges, and ``emitted`` the cuts listed."""
 
     explored: int = 0
     pruned: int = 0
     emitted: int = 0
-    dead_ends: int = 0
 
 
 def _words(masks, n: int) -> np.ndarray:
@@ -147,6 +160,14 @@ def _members(words: np.ndarray, n: int) -> np.ndarray:
     vertex 0 first."""
     return np.unpackbits(words.astype("<u8").view(np.uint8), axis=1,
                          count=n, bitorder="little")
+
+
+def _pack(members: np.ndarray) -> np.ndarray:
+    """The rows of a `_members` array of n >= 1 vertices back in the
+    layout of `_words`."""
+    packed = np.packbits(members, axis=1, bitorder="little")
+    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    return packed.view("<u8").astype(np.uint64)
 
 
 def _sizes(words: np.ndarray) -> np.ndarray:
@@ -181,27 +202,16 @@ class CutIndex:
     `_words`, ``crossing_counts[i]`` (int64) its crossing count and
     ``inside_counts[i]`` (int64) the number of edges inside side 1.  The
     rows are sorted by mask value, so the order is a property of the cut
-    set alone; it fixes what ``masks`` lists.  ``cluedit cuts`` shows the
-    same cuts by (side-1 size, mask).  The solver's DP reads the rows as a
-    set: it sorts them by mask itself, and its tie-break is the smallest
-    parent prefix, not a row position.  ``masks`` and ``crossing`` read the
-    same cuts as Python ints.
+    set alone.  ``cluedit cuts`` shows the same cuts by (side-1 size,
+    mask).  The solver's DP reads the rows as a set: it sorts them by mask
+    itself, and its tie-break is the smallest parent prefix, not a row
+    position.
     """
 
     words: np.ndarray
     crossing_counts: np.ndarray
     inside_counts: np.ndarray
     stats: EnumStats = field(default_factory=EnumStats)
-
-    @property
-    def masks(self) -> list[int]:
-        if self.words.shape[1] == 1:
-            return self.words[:, 0].tolist()
-        return [_mask(row) for row in self.words]
-
-    @property
-    def crossing(self) -> list[int]:
-        return self.crossing_counts.tolist()
 
     def __len__(self) -> int:
         return len(self.words)
@@ -210,69 +220,87 @@ class CutIndex:
 def enumerate_k_cuts(g: Graph, k: int, cap: int | None = None) -> CutIndex | None:
     """Enumerate every ordered k-cut of g exactly once, or abort.
 
-    Returns None when there are more than *cap* cuts; cap None lists
-    them all.  The cuts come sorted by side-1 mask, whichever route finds
-    them.  Up to ``_FILTER_N`` vertices nothing branches: every mask is
-    scored against ``m - e(S) - e(V - S) <= k``.  Beyond, a branching over
-    the vertices in descending-degree order (ties by id) runs on an
-    explicit stack and keeps a child only if ``min_cut_leq`` finds a
-    completion within k.  The degree order only steers the pruning:
-    high-degree vertices placed first make the flow test bite early.
+    Returns None when the list of g, or of any vertex range it is joined
+    from, has more than *cap* cuts; cap None lists them all.  The cuts
+    come sorted by side-1 mask.  Up to ``LEAF`` vertices nothing is
+    joined: every mask is scored against ``m - e(S) - e(V - S) <= k``.
+    Beyond, the lists of the id ranges [0, n // 2) and [n // 2, n), each
+    listed the same way, are joined (see the module docstring).  The time
+    is polynomial in n and in the longest of these lists, and nothing is
+    returned before the whole list: there is no polynomial delay.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
-    n = g.n
     stats = EnumStats()
-    if n <= _FILTER_N:
-        inside = edges_inside_table(g)
-        # in the table's unsigned dtype: e(S) + e(V - S) <= m, so no
-        # difference wraps
-        crossing = (g.m - inside) - inside[::-1]
-        masks = np.flatnonzero(crossing <= k)  # ascending
-        if cap is not None and masks.size > cap:
-            return None
-        stats.explored = 1 << n
-        stats.emitted = masks.size
-        stats.pruned = stats.explored - stats.emitted
-        return CutIndex(masks.astype(np.uint64).reshape(-1, 1),
-                        crossing[masks].astype(np.int64),
-                        inside[masks].astype(np.int64), stats)
+    listed = _list(g, 0, g.n, k, cap, stats)
+    if listed is None:
+        return None
+    stats.emitted = len(listed[0])
+    return CutIndex(*listed, stats)
 
-    rows = g.rows
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    found: list[tuple[int, int, int]] = []  # (side 1, crossing, inside)
-    # depth, side 1, side 2, crossing and inside edges so far
-    stack = [(0, 0, 0, 0, 0)]
-    while stack:
-        depth, side1, side2, crossing, inside = stack.pop()
-        if depth == n:
-            found.append((side1, crossing, inside))
-            if cap is not None and len(found) > cap:
-                return None
-            continue
-        v = order[depth]
-        bit = 1 << v
-        height = len(stack)
-        # v's edges into side 1 lie inside it when v joins side 1, and
-        # cross the cut when v joins side 2
-        to1, to2 = (rows[v] & side1).bit_count(), (rows[v] & side2).bit_count()
-        for s1, s2, extra, gain in ((side1 | bit, side2, to2, to1),
-                                    (side1, side2 | bit, to1, 0)):
-            stats.explored += 1
-            if crossing + extra > k or not min_cut_leq(g, s1, s2, k):
-                stats.pruned += 1
-            else:
-                stack.append((depth + 1, s1, s2, crossing + extra,
-                              inside + gain))
-        if len(stack) == height:
-            stats.dead_ends += 1
-    stats.emitted = len(found)
-    found.sort()  # by side 1, which no two cuts share
-    return CutIndex(_words([c[0] for c in found], n),
-                    np.array([c[1] for c in found], dtype=np.int64),
-                    np.array([c[2] for c in found], dtype=np.int64), stats)
+
+def _list(g: Graph, lo: int, hi: int, k: int, cap: int | None,
+          stats: EnumStats):
+    """The k-cuts of G[lo:hi] as (words, crossing, inside), vertex lo as
+    bit 0 and sorted by mask, or None past *cap*."""
+    if hi - lo > LEAF:
+        return _join(g, lo, hi, k, cap, stats)
+    sub = Graph(tuple(row >> lo & (1 << hi - lo) - 1 for row in g.rows[lo:hi]))
+    inside = edges_inside_table(sub)
+    # in the table's unsigned dtype: e(S) + e(V - S) <= m, so no
+    # difference wraps
+    crossing = (sub.m - inside) - inside[::-1]
+    masks = np.flatnonzero(crossing <= k)  # ascending
+    if cap is not None and masks.size > cap:
+        return None
+    stats.explored += 1 << sub.n
+    stats.pruned += (1 << sub.n) - masks.size
+    return (masks.astype(np.uint64).reshape(-1, 1),
+            crossing[masks].astype(np.int64), inside[masks].astype(np.int64))
+
+
+def _join(g: Graph, lo: int, hi: int, k: int, cap: int | None,
+          stats: EnumStats):
+    """`_list` of [lo, hi), joined from the lists of its two halves."""
+    mid = (lo + hi) // 2
+    low = _list(g, lo, mid, k, cap, stats)
+    high = low and _list(g, mid, hi, k, cap, stats)  # None if low is
+    if high is None:
+        return None
+    (words_a, cr_a, in_a), (words_b, cr_b, in_b) = low, high
+    n_b = hi - mid
+    member_a, member_b = _members(words_a, mid - lo), _members(words_b, n_b)
+    # edge[u, v]: vertex lo + u is adjacent to vertex mid + v
+    edge = _members(_words([row >> mid & (1 << n_b) - 1
+                            for row in g.rows[lo:mid]], n_b), n_b)
+    # to_a[j, u]: edges from side 1 of high cut j to vertex lo + u; every
+    # count here is below 2^53, so the float64 products are exact
+    to_a = member_b @ edge.T.astype(np.float64)
+    flat_a = member_a.T.astype(np.float64)
+    # cr + d for each half-cut
+    base_a = cr_a + member_a @ edge.sum(axis=1, dtype=np.int64)
+    base_b = cr_b + to_a.sum(axis=1).astype(np.int64)
+    rows = max(1, _PAIRS // len(words_a))
+    parts, kept = [], 0
+    # blocks of high cuts in ascending order, and the low cuts ascending
+    # in each, so the pairs come out sorted by the joined mask
+    for start in range(0, len(words_b), rows):
+        # the crossing count of each pair, with e(S_A, S_B) from to_a
+        score = (base_b[start:start + rows, None] + base_a
+                 - 2 * (to_a[start:start + rows] @ flat_a))
+        j, i = np.nonzero(score <= k)
+        kept += len(j)
+        if cap is not None and kept > cap:
+            return None
+        parts.append((start + j, i, score[j, i].astype(np.int64)))
+    j, i, crossing = (np.concatenate(col) for col in zip(*parts))
+    stats.explored += len(words_a) * len(words_b)
+    stats.pruned += len(words_a) * len(words_b) - kept
+    inside = in_a[i] + in_b[j] + (base_a[i] + base_b[j] - crossing) // 2
+    joined = np.hstack((member_a[i], member_b[j]))
+    return _pack(joined), crossing, inside
 
 
 # ---------------------------------------------------------------------------

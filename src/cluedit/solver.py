@@ -8,8 +8,12 @@ telescopes over the chain.  So the solver enumerates the k-cut space and
 runs a shortest-chain DP with p layers.  The enumeration stops at the
 counting bound `cut_count_bound(p, k)`, finite for every p and k: every
 k-cut of a YES instance crosses at most 2k edges of its target cluster
-graph, and no more than B(p, 2k) cuts of p cliques do that.  So an abort
-at the bound is a proven NO, and every ``aborted`` NO is backed by it.  A
+graph, and no more than B(p, 2k) cuts of p cliques do that.  The
+enumeration also stops when the list of a vertex range it joins from
+passes the cap, and that is sound too: the induced subgraph on the range
+is within k edits of the target's induced subgraph, a cluster graph of at
+most p cliques, so it has at most B(p, 2k) k-cuts as well.  So an abort at
+the bound is a proven NO, and every ``aborted`` NO is backed by it.  A
 user cap below the bound proves nothing when it is exceeded, so such an
 abort answers unknown.
 
@@ -292,7 +296,8 @@ def _solve(inst: Instance, cap: int | None) -> SolveResult:
     cuts = enumerate_k_cuts(g, k, cap)
     if cuts is None:
         stats.aborted = True
-        # only more cuts than the bound allows rule out a solution
+        # only more cuts than the bound allows, in g or in a range its list
+        # is joined from, rule out a solution
         return SolveResult(None if cap < bound else False, None, stats)
     stats.cuts_enumerated = len(cuts)
 

@@ -21,6 +21,8 @@ replaced, and ``dp_reference`` is the solver's canonical-chain DP on
 python ints and dicts, which ``solver._dp_numpy`` must match chain for
 chain.  ``lift_reference`` is the per-vertex assignment walk that
 ``preprocess.lift_clustering`` replaced with one ``Clustering.from_blocks``.
+``cut_masks`` decodes a ``CutIndex``'s uint64 words into python-int masks
+by plain shifts, without the package's word helpers.
 """
 from __future__ import annotations
 
@@ -269,6 +271,12 @@ def crossing_count(n, edges, mask: int) -> int:
     return sum((mask >> u & 1) != (mask >> v & 1) for u, v in edges)
 
 
+def cut_masks(index: CutIndex) -> list[int]:
+    """Side 1 of every cut of *index* as a python-int mask, in row order."""
+    return [sum(int(w) << 64 * i for i, w in enumerate(row))
+            for row in index.words]
+
+
 def ordered_cuts(n, edges, k: int):
     """All (side1 mask, crossing) pairs with crossing <= k, mask order."""
     return [(m, c) for m in range(1 << n)
@@ -351,7 +359,7 @@ def dp_reference(g: Graph, cuts: CutIndex, p: int, k: int,
     n = g.n
     full = (1 << n) - 1
     budget = 2 * k
-    crossing_of = dict(zip(cuts.masks, cuts.crossing))
+    crossing_of = dict(zip(cut_masks(cuts), cuts.crossing_counts.tolist()))
     by_low: dict[int, list[tuple[int, int]]] = {}
     for x, crossing in crossing_of.items():
         size = x.bit_count()

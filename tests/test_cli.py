@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import oracles
 from conftest import package_env, run_cli
 
 from cluedit import cli, cut_count_bound, enumerate_k_cuts, solver
@@ -289,7 +290,8 @@ def test_cuts_stream_across_words_and_blocks(graph_file):
         assert res.returncode == 0
         index = enumerate_k_cuts(g, k)
         # listed by (side-1 size, mask)
-        listed = sorted(zip(index.masks, index.crossing),
+        listed = sorted(zip(oracles.cut_masks(index),
+                            index.crossing_counts.tolist()),
                         key=lambda cut: (cut[0].bit_count(), cut[0]))
         assert res.stdout.splitlines() == [
             "".join("1" if mask >> v & 1 else "0" for v in range(g.n)) + f" {c}"
@@ -331,7 +333,7 @@ def test_cuts_bound_at_k0_counts_every_clique_whole(graph_file):
 
 
 def test_cuts_on_a_long_path(graph_file):
-    # 1500 vertices branch deeper than Python's recursion limit
+    # 1500 vertices: about a hundred table ranges, joined pairwise
     n = 1500
     path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
     res = run_cli("cuts", graph_file(path), "--k", "0", "--count-only")
@@ -345,6 +347,19 @@ def test_cuts_cap_abort(graph_file):
     assert res.returncode == 3
     assert res.stdout == ""
     assert "enumeration aborted, more than 1 cuts" in res.stderr
+
+
+def test_cuts_cap_counts_the_halves_too(graph_file):
+    # K_{1,17} with its centre at id 17 has 2 cuts at k = 0, but the lower
+    # half it is joined from, ids 0-8, is 9 lone leaves with 2^9 = 512
+    # cuts, past the cap
+    star = Graph.from_edges(18, [(v, 17) for v in range(17)])
+    assert len(enumerate_k_cuts(star, 0)) == 2
+    res = run_cli("cuts", graph_file(star), "--k", "0", "--cap", "10")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert ("enumeration aborted, more than 10 cuts in the graph or in a "
+            "half it is joined from") in res.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Ordered k-cut enumeration, min-cut pruning and the counting bounds."""
+"""Ordered k-cut enumeration, the max-flow test and the counting bounds."""
 from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import pytest
 import oracles
 from oracles import mask_of
 from cluedit import (Graph, cut_count_bound, edges_inside_table,
-                     enumerate_k_cuts, min_cut_leq)
+                     enumerate_k_cuts)
 from cluedit import cuts
+from cluedit.cuts import min_cut_leq
 
 
 def triangle() -> Graph:
@@ -19,7 +21,7 @@ def triangle() -> Graph:
 
 
 def as_pairs(index):
-    return set(zip(index.masks, index.crossing))
+    return set(zip(oracles.cut_masks(index), index.crossing_counts.tolist()))
 
 
 def test_enumeration_matches_brute_filter_exhaustively():
@@ -44,52 +46,130 @@ def test_enumeration_matches_brute_filter_seeded():
         assert as_pairs(index) == set(oracles.ordered_cuts(n, edges, k))
 
 
-def test_flow_route_agrees_beyond_the_table_threshold():
-    # n = 17 graphs branch with the augmenting-path feasibility test
-    # instead of filtering the 2^n masks; both must give the brute cut set
-    rng = random.Random(43)
-    n = 17
-    edges = oracles.random_edges(rng, n, 0.12)
-    g = Graph.from_edges(n, edges)
-    index = enumerate_k_cuts(g, 2)
-    assert as_pairs(index) == set(oracles.ordered_cuts(n, edges, 2))
+def _ranges(lo, hi, leaf):
+    """The vertex ranges a list of [lo, hi) is joined from, [lo, hi)
+    first, each with its two halves or None for a table range."""
+    if hi - lo <= leaf:
+        return [(lo, hi, None)]
+    mid = (lo + hi) // 2
+    return [(lo, hi, mid)] + _ranges(lo, mid, leaf) + _ranges(mid, hi, leaf)
 
 
-def test_filter_route_matches_flow_route(monkeypatch):
-    # the 2^n filter must give what the max-flow branching gives: same
-    # cuts, same order, same crossing, same aborts, and both the brute set
+def test_one_route_matches_brute_cuts(monkeypatch):
+    # at the default LEAF, and at LEAF = 1 where every list is joined from
+    # single vertices, one high cut per block of pairs: the brute cuts in
+    # mask order with their crossing and inside counts; None exactly when
+    # the list of the graph, or of a range it is joined from, is longer
+    # than the cap; and the counters add up the table masks and join
+    # pairs scored
     rng = random.Random(61)
     graphs = [Graph.empty(0), triangle()]
     for _ in range(40):
         n = rng.randint(1, 12)
         graphs.append(Graph.from_edges(
             n, oracles.random_edges(rng, n, rng.uniform(0.1, 0.9))))
-    cases = [(g, k, cap) for g in graphs for k in range(5)
-             for cap in (40, None)]
+    aborts = set()
+    for g in graphs:
+        edges = list(g.edges())
+        for k in range(5):
+            brute = oracles.ordered_cuts(g.n, edges, k)
+            count = {(0, g.n): len(brute)}  # k-cuts of G[lo:hi]
+            for leaf, pairs in ((cuts.LEAF, cuts._PAIRS), (1, 1)):
+                monkeypatch.setattr(cuts, "LEAF", leaf)
+                monkeypatch.setattr(cuts, "_PAIRS", pairs)
+                ranges = _ranges(0, g.n, leaf)
+                for lo, hi, _ in ranges:
+                    if (lo, hi) not in count:
+                        inner = [(u - lo, v - lo) for u, v in edges
+                                 if lo <= u and v < hi]
+                        count[lo, hi] = len(
+                            oracles.ordered_cuts(hi - lo, inner, k))
+                listed = [count[lo, hi] for lo, hi, _ in ranges]
+                for cap in (3, 10, 40, None):
+                    index = enumerate_k_cuts(g, k, cap)
+                    if cap is not None and max(listed) > cap:
+                        assert index is None
+                        aborts.add((leaf, len(brute) <= cap))
+                        continue
+                    assert oracles.cut_masks(index) == [m for m, _ in brute]
+                    assert index.crossing_counts.tolist() == [
+                        c for _, c in brute]
+                    assert index.inside_counts.tolist() == [
+                        sum(1 for u, v in edges if m >> u & 1 and m >> v & 1)
+                        for m, _ in brute]
+                    explored = sum(1 << hi - lo if mid is None
+                                   else count[lo, mid] * count[mid, hi]
+                                   for lo, hi, mid in ranges)
+                    assert index.stats.explored == explored
+                    assert index.stats.pruned == explored - sum(listed)
+                    assert index.stats.emitted == len(brute)
+    # aborts on a whole list past the cap and on a half's list alone
+    assert {(1, True), (1, False), (cuts.LEAF, False)} <= aborts
+
+
+def test_flow_route_agrees_beyond_the_table_threshold():
+    # kernels past LEAF once branched on a max-flow test; now a 17-vertex
+    # graph is joined from the tables of its halves of 8 and 9 vertices,
+    # and must give the brute cuts in mask order with their counts
+    rng = random.Random(43)
+    n = 17
+    edges = oracles.random_edges(rng, n, 0.12)
+    g = Graph.from_edges(n, edges)
+    brute = oracles.ordered_cuts(n, edges, 2)
+    index = enumerate_k_cuts(g, 2)
+    assert oracles.cut_masks(index) == [m for m, _ in brute]
+    assert index.crossing_counts.tolist() == [c for _, c in brute]
+    assert index.inside_counts.tolist() == [
+        sum(1 for u, v in edges if m >> u & 1 and m >> v & 1)
+        for m, _ in brute]
+    halves = [len(oracles.ordered_cuts(hi - lo, [
+        (u - lo, v - lo) for u, v in edges if lo <= u and v < hi], 2))
+        for lo, hi in ((0, 8), (8, n))]
+    assert index.stats.explored == (1 << 8) + (1 << 9) + halves[0] * halves[1]
+    assert index.stats.emitted == len(brute)
+    # a cap under a half's list aborts even where the whole list fits
+    assert enumerate_k_cuts(g, 2, max(halves) - 1) is None
+
+
+def test_filter_route_matches_flow_route(monkeypatch):
+    # on kernels of 13 to LEAF vertices, too large for the brute cuts of
+    # the test above but still one table, the table's filter of the 2^n
+    # masks and the joins from single vertices at LEAF = 1 give the same
+    # cuts, order and counts; where the table aborts, so does the join
+    rng = random.Random(67)
     runs = []
-    for filter_n in (cuts._FILTER_N, -1):
-        monkeypatch.setattr(cuts, "_FILTER_N", filter_n)
+    cases = []
+    for _ in range(6):
+        n = rng.randint(13, cuts.LEAF)
+        g = Graph.from_edges(n, oracles.random_edges(
+            rng, n, rng.uniform(0.1, 0.5)))
+        cases += [(g, k, cap) for k in range(4) for cap in (200, None)]
+    for leaf, pairs in ((cuts.LEAF, cuts._PAIRS), (1, 1)):
+        monkeypatch.setattr(cuts, "LEAF", leaf)
+        monkeypatch.setattr(cuts, "_PAIRS", pairs)
         runs.append([enumerate_k_cuts(g, k, cap) for g, k, cap in cases])
-    brute = {(id(g), k): oracles.ordered_cuts(g.n, list(g.edges()), k)
-             for g in graphs for k in range(5)}
-    for (g, k, cap), filtered, flow in zip(cases, *runs):
-        if filtered is None or flow is None:
-            assert filtered is flow
-            assert len(brute[id(g), k]) > cap
+    for (g, k, cap), table, joined in zip(cases, *runs):
+        if table is None:
+            assert joined is None and cap is not None
             continue
-        assert filtered.masks == flow.masks
-        assert filtered.crossing == flow.crossing
-        assert as_pairs(filtered) == set(brute[id(g), k])
+        if joined is None:
+            assert cap is not None
+            continue
+        assert oracles.cut_masks(joined) == oracles.cut_masks(table)
+        assert np.array_equal(joined.crossing_counts, table.crossing_counts)
+        assert np.array_equal(joined.inside_counts, table.inside_counts)
+        assert table.stats.explored == 1 << g.n
+    assert sum(joined is not None for joined in runs[1]) > len(cases) // 2
 
 
 def test_long_path_enumerates_without_recursion():
-    # 1500 vertices: far beyond the filter, and deeper than Python's
-    # recursion limit, so only an explicit stack gets through
+    # 1500 vertices, more than Python's recursion limit: the halving goes
+    # only log2(1500 / LEAF) ranges deep
     n = 1500
     g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
     index = enumerate_k_cuts(g, 0)
-    assert index.masks == [0, (1 << n) - 1]
-    assert index.crossing == [0, 0]
+    assert oracles.cut_masks(index) == [0, (1 << n) - 1]
+    assert index.crossing_counts.tolist() == [0, 0]
 
 
 def test_triangle_frozen_counts():
@@ -100,10 +180,10 @@ def test_triangle_frozen_counts():
 
 
 def test_output_order_and_determinism(monkeypatch):
-    # both routes list the cuts by side-1 mask, so the order is a property
-    # of the cut set and not of how the search found it
-    for filter_n in (cuts._FILTER_N, -1):
-        monkeypatch.setattr(cuts, "_FILTER_N", filter_n)
+    # tables and joins list the cuts by side-1 mask, so the order is a
+    # property of the cut set and not of how the ranges were split
+    for leaf in (cuts.LEAF, 1):
+        monkeypatch.setattr(cuts, "LEAF", leaf)
         rng = random.Random(47)
         for _ in range(10):
             n = rng.randint(2, 7)
@@ -112,33 +192,26 @@ def test_output_order_and_determinism(monkeypatch):
             k = rng.randint(1, 4)
             a = enumerate_k_cuts(g, k)
             b = enumerate_k_cuts(g, k)
-            assert a.masks == b.masks and a.crossing == b.crossing
-            assert a.masks == sorted(a.masks)
+            masks = oracles.cut_masks(a)
+            assert masks == oracles.cut_masks(b)
+            assert np.array_equal(a.crossing_counts, b.crossing_counts)
+            assert masks == sorted(masks)
             brute = dict(oracles.ordered_cuts(n, edges, k))
-            assert a.crossing == [brute[m] for m in a.masks]
+            assert a.crossing_counts.tolist() == [brute[m] for m in masks]
 
 
 def test_cap_abort_and_argument_guards():
     assert enumerate_k_cuts(triangle(), 2, cap=3) is None
     assert enumerate_k_cuts(triangle(), 2, cap=8) is not None
+    # K_{1,17} with its centre at id 17 has 2 cuts at k = 0, but the lower
+    # half it is joined from, 9 lone leaves, has 512
+    star = Graph.from_edges(18, [(v, 17) for v in range(17)])
+    assert enumerate_k_cuts(star, 0, cap=511) is None
+    assert len(enumerate_k_cuts(star, 0, cap=512)) == 2
     with pytest.raises(ValueError, match="cap"):
         enumerate_k_cuts(triangle(), 2, cap=0)
     with pytest.raises(ValueError, match="k"):
         enumerate_k_cuts(triangle(), -1)
-
-
-def test_pruning_never_wastes_a_subtree(monkeypatch):
-    # the max-flow test keeps a branch only if some completion is a k-cut,
-    # so no kept branch has both children pruned: by induction on depth,
-    # every kept subtree emits, which is the polynomial-delay argument
-    monkeypatch.setattr(cuts, "_FILTER_N", -1)
-    rng = random.Random(53)
-    for _ in range(20):
-        n = rng.randint(1, 9)
-        g = Graph.from_edges(n, oracles.random_edges(rng, n, rng.random()))
-        index = enumerate_k_cuts(g, rng.randint(0, 6))
-        assert index.stats.dead_ends == 0
-        assert index.stats.emitted == len(index)
 
 
 def test_min_cut_leq_matches_brute_force():
@@ -176,15 +249,15 @@ def test_min_cut_leq_matches_dict_reference():
 
 def test_two_bridged_cliques_have_four_cuts():
     # two 100-cliques joined by one edge: with k = 1 only the trivial cuts
-    # and the two sides of the bridge survive the branching
+    # and the two sides of the bridge survive the joins
     side = 100
     edges = [(u, v) for base in (0, side)
              for u in range(base, base + side) for v in range(u + 1, base + side)]
     g = Graph.from_edges(2 * side, edges + [(side - 1, side)])
     index = enumerate_k_cuts(g, 1)
     a = (1 << side) - 1
-    assert index.masks == [0, a, a << side, (1 << 2 * side) - 1]
-    assert index.crossing == [0, 1, 1, 0]
+    assert oracles.cut_masks(index) == [0, a, a << side, (1 << 2 * side) - 1]
+    assert index.crossing_counts.tolist() == [0, 1, 1, 0]
 
 
 def test_min_cut_leq_disconnected_sides():
@@ -199,6 +272,35 @@ def test_min_cut_leq_rejects_sides_outside_the_graph():
         for k in (0, 1):
             with pytest.raises(ValueError, match="disjoint vertex masks"):
                 min_cut_leq(path, a, b, k)
+
+
+def _planted(rng, n, p, t):
+    """A p-clustering of n vertices with t vertex pairs toggled, drawn as
+    the benchmark's planted workloads draw it."""
+    labels = list(range(p)) + [rng.randrange(p) for _ in range(n - p)]
+    rng.shuffle(labels)
+    pairs = list(itertools.combinations(range(n), 2))
+    toggled = set(rng.sample(pairs, t))
+    return Graph.from_edges(n, [e for e in pairs if (
+        labels[e[0]] == labels[e[1]]) != (e in toggled)])
+
+
+def test_join_memory_stays_near_its_result():
+    # the planted point p = k = 8, n = 24 joins two 12-vertex halves of
+    # 4096 cuts each: scored at once, their 2^24 pairs would take 128 MiB
+    # of float64, but blocks of _PAIRS pairs keep the peak at a few copies
+    # of the 136,896 cuts listed (3.1 MiB); 16.2 MiB measured
+    g = _planted(random.Random(2), 24, 8, 8)
+    tracemalloc.start()
+    try:
+        index = enumerate_k_cuts(g, 8, cut_count_bound(8, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(index) == 136896
+    assert index.stats.explored == 2 * 4096 + 4096 * 4096
+    assert index.stats.pruned == index.stats.explored - 2 * 4096 - len(index)
+    assert peak < 24 << 20
 
 
 def test_edges_inside_table():
@@ -221,10 +323,11 @@ def test_filter_route_on_the_largest_complete_kernel():
     g = complete(n)
     index = enumerate_k_cuts(g, g.m)
     assert len(index) == 1 << n and index.stats.pruned == 0
-    assert sorted(index.masks) == list(range(1 << n))
+    masks = oracles.cut_masks(index)
+    assert masks == list(range(1 << n))
     edges = list(g.edges())
-    assert index.crossing == [oracles.crossing_count(n, edges, m)
-                              for m in index.masks]
+    assert index.crossing_counts.tolist() == [
+        oracles.crossing_count(n, edges, m) for m in masks]
 
 
 @pytest.mark.parametrize("n, dtype", [(23, np.uint8), (24, np.uint16)])
@@ -256,13 +359,11 @@ def _cut_graphs():
     yield Graph.from_edges(2 * side, two_cliques + [(side - 1, side)]), 1
 
 
-@pytest.mark.parametrize("filter_n", [cuts._FILTER_N + 1, -1],
-                         ids=["filter", "flow"])
-def test_cut_index_arrays_match_their_list_views(monkeypatch, filter_n):
-    # on both routes: side 1 of each cut is one row of uint64 words, the
-    # crossing and inside counts are int64, and the list views read the
-    # same cuts
-    monkeypatch.setattr(cuts, "_FILTER_N", filter_n)
+@pytest.mark.parametrize("leaf", [cuts.LEAF, 1], ids=["default", "leaf1"])
+def test_cut_index_arrays_hold_sorted_cuts(monkeypatch, leaf):
+    # side 1 of each cut is one row of uint64 words, in ascending mask
+    # order, and the crossing and inside counts are int64
+    monkeypatch.setattr(cuts, "LEAF", leaf)
     for g, k in _cut_graphs():
         index = enumerate_k_cuts(g, k)
         assert index.words.dtype == np.uint64
@@ -270,21 +371,22 @@ def test_cut_index_arrays_match_their_list_views(monkeypatch, filter_n):
         for counts in (index.crossing_counts, index.inside_counts):
             assert counts.dtype == np.int64
             assert counts.shape == (len(index),)
-        assert index.masks == [sum(int(w) << 64 * i for i, w in enumerate(row))
-                               for row in index.words]
-        assert index.crossing == index.crossing_counts.tolist()
+        masks = oracles.cut_masks(index)
+        assert masks == sorted(set(masks))
+        edges = list(g.edges())
+        assert index.crossing_counts.tolist() == [
+            oracles.crossing_count(g.n, edges, mask) for mask in masks]
 
 
-@pytest.mark.parametrize("filter_n", [cuts._FILTER_N + 1, -1],
-                         ids=["filter", "flow"])
-def test_inside_counts_match_a_brute_edge_count(monkeypatch, filter_n):
-    monkeypatch.setattr(cuts, "_FILTER_N", filter_n)
+@pytest.mark.parametrize("leaf", [cuts.LEAF, 1], ids=["default", "leaf1"])
+def test_inside_counts_match_a_brute_edge_count(monkeypatch, leaf):
+    monkeypatch.setattr(cuts, "LEAF", leaf)
     for g, k in _cut_graphs():
         edges = list(g.edges())
         index = enumerate_k_cuts(g, k)
         assert index.inside_counts.tolist() == [
             sum(1 for u, v in edges if mask >> u & 1 and mask >> v & 1)
-            for mask in index.masks]
+            for mask in oracles.cut_masks(index)]
 
 
 def test_cut_count_bound_frozen_values():

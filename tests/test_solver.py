@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import pytest
 import oracles
 from oracles import arc_cost, mask_of
 from cluedit import (Clustering, CutIndex, Graph, Instance, Solution,
-                     enumerate_k_cuts, solve_at_most_p, solve_exact_p,
-                     verify_solution)
+                     cut_count_bound, enumerate_k_cuts, solve_at_most_p,
+                     solve_exact_p, verify_solution)
 from cluedit import solver
 from cluedit.bruteforce import oracle_best_cost
 from cluedit.graph import bits, clustering_to_edit_set
@@ -178,9 +179,25 @@ def test_cap_override_aborts(monkeypatch):
         assert result_to_dict(res3, path(4))["answer"] == "no"
 
 
+def test_long_path_aborts_at_its_first_long_range():
+    # a 3000-vertex path at p = 2, k = 1: no rule fires, and the first
+    # joined range, vertices 0-22, has 2 + 2 * 22 = 46 cuts, more than
+    # B(2, 1) = 40, which proves NO; under a cap below the bound the same
+    # abort is unknown
+    g = path(3000)
+    start = time.perf_counter()
+    res = solve_exact_p(Instance(g, 2, 1, "exact"))
+    assert time.perf_counter() - start < 1
+    assert res.answer is False and res.stats.aborted
+    assert cut_count_bound(2, 1) == 40
+    res = solve_exact_p(Instance(g, 2, 1, "exact"), cap=39)
+    assert res.answer is None and res.stats.aborted
+
+
 def test_python_dp_route_on_wide_graphs():
     # 8 triangles leave 24 vertices when no rule fires (p = 6 <= 6k), so
-    # the flow-based enumeration and the arc DP run at n = 24
+    # the enumeration joins two 12-vertex halves and the arc DP runs at
+    # n = 24
     g = triangles(8)
     res = solve_exact_p(Instance(g, 6, 1, "exact"))
     assert not res.answer
@@ -383,7 +400,8 @@ def test_canonical_chains_keep_every_layer_optimum():
         if g.n <= 8:
             continue
         cuts = enumerate_k_cuts(g, k)
-        optima = oracles.chain_optima(g, cuts.masks, max(counts), k)
+        optima = oracles.chain_optima(g, oracles.cut_masks(cuts),
+                                      max(counts), k)
         for p in counts:
             assert _layer_optimum(g, cuts, p, k) == optima[p]
 
@@ -532,7 +550,7 @@ def test_edit_set_lifted_from_the_kernel():
     rng = random.Random(103)
     fired, yes = set(), 0
     for _ in range(20):
-        # k = 1 keeps the kernels to the filter route
+        # k = 1 keeps the cut lists short
         k = 1
         n = rng.randint(20, 40)
         p = rng.randint(7, 16)
