@@ -3,8 +3,10 @@
 A k-cut of G is an ordered bipartition (V1, V2) of the vertex set with at
 most k crossing edges; V1 and V2 may be empty.  The cuts are listed by
 vertex-id ranges.  A range of at most ``LEAF`` vertices needs no search:
-its k-cuts are exactly the masks S with m - e(S) - e(V - S) <= k, read
-off one 2^n table of inside-edge counts.  A longer range [lo, hi) joins
+its k-cuts are exactly the masks S with m - e(S) - e(V - S) <= k.  The
+ones without its last vertex are read off the 2^(n-1) table of
+inside-edge counts of the rest of the range, and the others are their
+complements, which cross the same edges.  A longer range [lo, hi) joins
 the lists of its halves A = [lo, mid) and B = [mid, hi): the restriction
 of a k-cut to a half is a k-cut of that half, because the crossing edges
 of G[A] are crossing edges of G, so every k-cut is a pair of listed
@@ -43,8 +45,9 @@ import numpy as np
 
 from .graph import Graph, bits
 
-# a vertex range of at most this many vertices is listed from its 2^n
-# table; past it the table's time and memory outgrow joining two halves
+# a vertex range of at most this many vertices is listed from its
+# 2^(n-1) table; past it the table's time and memory outgrow joining two
+# halves
 LEAF = 16
 
 # the join scores at most this many pairs of half-cuts at a time, so its
@@ -98,19 +101,21 @@ def min_cut_leq(g: Graph, a: int, b: int, k: int) -> bool:
     return False
 
 
-# the masks 0 .. 2^16 - 1, shared by every table build, which ANDs slices
-# of them with the neighbour rows instead of making an arange per vertex
-_IDS = np.arange(1 << 16, dtype=np.uint16)
+# the masks 0 .. 255, shared by every table build, which ANDs slices of
+# them with the neighbour rows instead of making an arange per vertex;
+# bytes, because numpy counts the bits of uint8 arrays several times
+# faster than those of uint16 arrays
+_IDS = np.arange(1 << 8, dtype=np.uint8)
 _IDS.flags.writeable = False
 
 
 def _neighbours_in(row: int, size: int) -> np.ndarray:
     """|N & S| for every mask S below *size*, a power of two, where N is
-    the mask *row*; uint8.  Ids past 2^16 split into a high and a low
-    half, whose counts add."""
+    the mask *row*; uint8.  Ids past 2^8 split into a high part and the
+    low byte, whose counts add."""
     if size <= len(_IDS):
         return np.bitwise_count(_IDS[:size] & (row & (size - 1)))
-    high = _neighbours_in(row >> 16, size >> 16)
+    high = _neighbours_in(row >> 8, size >> 8)
     return (high[:, None] + _neighbours_in(row, len(_IDS))).ravel()
 
 
@@ -131,9 +136,10 @@ def edges_inside_table(g: Graph) -> np.ndarray:
 
 @dataclass
 class EnumStats:
-    """Work counters.  ``explored`` counts the 2^n masks scored in each
-    table plus the pairs of half-cuts scored in each join, ``pruned`` those
-    of them crossing more than k edges, and ``emitted`` the cuts listed."""
+    """Work counters.  ``explored`` counts the 2^n masks each table
+    decides (it scores half of them and takes the rest as complements)
+    plus the pairs of half-cuts scored in each join, ``pruned`` those of
+    them crossing more than k edges, and ``emitted`` the cuts listed."""
 
     explored: int = 0
     pruned: int = 0
@@ -223,7 +229,7 @@ def enumerate_k_cuts(g: Graph, k: int, cap: int | None = None) -> CutIndex | Non
     Returns None when the list of g, or of any vertex range it is joined
     from, has more than *cap* cuts; cap None lists them all.  The cuts
     come sorted by side-1 mask.  Up to ``LEAF`` vertices nothing is
-    joined: every mask is scored against ``m - e(S) - e(V - S) <= k``.
+    joined: every mask is decided by ``m - e(S) - e(V - S) <= k``.
     Beyond, the lists of the id ranges [0, n // 2) and [n // 2, n), each
     listed the same way, are joined (see the module docstring).  The time
     is polynomial in n and in the longest of these lists, and nothing is
@@ -244,21 +250,42 @@ def enumerate_k_cuts(g: Graph, k: int, cap: int | None = None) -> CutIndex | Non
 def _list(g: Graph, lo: int, hi: int, k: int, cap: int | None,
           stats: EnumStats):
     """The k-cuts of G[lo:hi] as (words, crossing, inside), vertex lo as
-    bit 0 and sorted by mask, or None past *cap*."""
+    bit 0 and sorted by mask, or None past *cap*.
+
+    A range of at most ``LEAF`` vertices scores only the masks S without
+    its last vertex z, from the table of the range without z:
+    crossing(S) = m' - e(S) - e(V' - S) + |N(z) & S|, where V' and m' are
+    that range's vertices and edges.  The other cuts are their
+    complements V - S, which hold z, have the same crossing count and
+    e(V - S) = m - crossing(S) - e(S).  Every complement is a larger mask
+    than every S, so the complements in reverse follow the S in order.
+    """
     if hi - lo > LEAF:
         return _join(g, lo, hi, k, cap, stats)
-    sub = Graph(tuple(row >> lo & (1 << hi - lo) - 1 for row in g.rows[lo:hi]))
-    inside = edges_inside_table(sub)
-    # in the table's unsigned dtype: e(S) + e(V - S) <= m, so no
-    # difference wraps
-    crossing = (sub.m - inside) - inside[::-1]
+    if hi == lo:
+        # the empty range: one cut, both sides empty
+        stats.explored += 1
+        return (np.zeros((1, 1), np.uint64), np.zeros(1, np.int64),
+                np.zeros(1, np.int64))
+    half = 1 << hi - lo - 1
+    rest = Graph(tuple(row >> lo & half - 1 for row in g.rows[lo:hi - 1]))
+    last = g.rows[hi - 1] >> lo & half - 1
+    inside = edges_inside_table(rest)
+    # in the table's unsigned dtype: e(S) + e(V' - S) <= m', so no
+    # difference wraps, and crossing(S) <= C(LEAF, 2) fits in uint8
+    crossing = (rest.m - inside) - inside[::-1] + _neighbours_in(last, half)
     masks = np.flatnonzero(crossing <= k)  # ascending
-    if cap is not None and masks.size > cap:
+    if cap is not None and 2 * masks.size > cap:
         return None
-    stats.explored += 1 << sub.n
-    stats.pruned += (1 << sub.n) - masks.size
-    return (masks.astype(np.uint64).reshape(-1, 1),
-            crossing[masks].astype(np.int64), inside[masks].astype(np.int64))
+    stats.explored += 2 * half
+    stats.pruned += 2 * (half - masks.size)
+    crossing = crossing[masks].astype(np.int64)
+    inside = inside[masks].astype(np.int64)
+    m = rest.m + last.bit_count()
+    return (np.concatenate((masks, 2 * half - 1 - masks[::-1]))
+            .astype(np.uint64).reshape(-1, 1),
+            np.concatenate((crossing, crossing[::-1])),
+            np.concatenate((inside, (m - crossing - inside)[::-1])))
 
 
 def _join(g: Graph, lo: int, hi: int, k: int, cap: int | None,

@@ -33,6 +33,13 @@ to smallest, then the isolated vertices by id, each rule for as long as its
 kernel.  Apart from sorting the cliques by size this is O(n + m) row
 operations.
 
+`early_no` runs on the kernel, after the rules.  It proves NO without
+listing cuts, from more than 2k + p' closed-twin classes or from k + 1
+conflict triples (induced paths u-w-v) of which no two share a vertex
+pair; its docstring holds both proofs.  Packings of conflict triples are
+the standard lower bound of exact cluster-editing solvers (Boecker,
+Briesemeister and Klau, Algorithmica 2011).
+
 `lift_clustering` takes a clustering of the kernel back to the input: each
 cluster through ``vertex_map``, then each removed component as a cluster
 of its own.  `Clustering.from_blocks` builds the result, so the check that
@@ -129,6 +136,112 @@ def preprocess(inst: Instance) -> PreprocessOutcome:
             return PreprocessOutcome("p_exceeds_n", None, vmap, removed)
         p = g.n
     return PreprocessOutcome(None, Instance(g, p, k, mode), vmap, removed)
+
+
+# the centres of the packing hold at most this many neighbour pairs, and so
+# at most this many conflict triples: a centre of degree d can hold
+# d(d - 1)/2 of them, and a dense neighbourhood of a few thousand vertices
+# would list millions, in time and memory far beyond the cut enumeration
+# that the check is meant to spare
+_TRIPLES = 1 << 16
+
+
+def early_no(g: Graph, p: int, k: int
+             ) -> tuple[str, list[tuple[int, int, int]]] | None:
+    """A proof that no k edits make g a cluster graph of at most p cliques,
+    found without listing cuts, or None.
+
+    Returns ("class_count", []) or ("conflict_triples", the k + 1 triples
+    (u, w, v) of its packing).  Both proofs hold in either mode, so they
+    prove an exact-mode instance NO too.  The solver runs this on the
+    kernel, whose conflict triples are exactly the input's, because
+    preprocessing removes only clique components.
+
+    Class count.  Closed twins are vertices with equal closed rows
+    ``rows[v] | 1 << v``.  Take a solution of cost <= k with at most p
+    clusters.  A vertex no edit touches keeps its row, so its closed row is
+    its cluster's mask: the untouched vertices of a cluster are one class.
+    The k edits touch at most 2k vertices, so there are at most 2k + p
+    classes, and more is a proven NO.
+
+    Conflict triples.  A conflict triple u-w-v is an induced path: uw and
+    wv are edges and uv is not.  No cluster graph holds one, so a solution
+    edits one of its three pairs, and triples that share no vertex pair
+    need distinct edits.  So k + 1 of them, pairwise sharing no pair,
+    prove NO.  Any subset of the graph's triples is still such a proof, so
+    the packing only takes centres w from one vertex per class, at most
+    2k + p rows once the count has passed, and skips a centre whose
+    neighbour pairs, d(d - 1)/2 at degree d, would take those of the
+    centres before it past ``_TRIPLES``.  It lists the triples at those
+    centres and takes them greedily, fewest shared pairs first: in
+    ascending order of the summed number of listed triples that hold each
+    of their three pairs, ties by (u, w, v), stopping at k + 1.
+    """
+    rows, n, most = g.rows, g.n, 2 * k + p
+    # each class by its first vertex; stops once the count proves NO
+    first: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        if first.setdefault(row | 1 << v, v) == v and len(first) > most:
+            return "class_count", []
+    # the centres: the first vertex of each class, skipping one whose
+    # neighbour pairs, which bound the triples listed at it, no longer fit
+    # in _TRIPLES
+    taken, room, centres = [], _TRIPLES, 0
+    for w in first.values():
+        pairs = rows[w].bit_count() * (rows[w].bit_count() - 1) // 2
+        if pairs <= room:
+            room -= pairs
+            taken.append(w)
+            centres |= 1 << w
+    # the listed triples u-w-v (u < v), and for each its count times n
+    # plus u, so that a stable sort by it orders them by (count, u, w, v)
+    triples, keys = [], []
+    # held[v] at centre w: n times the listed triples that hold the edge
+    # vw, those at w (one per vertex of N(w) - N[v]) and, if v is a
+    # centre, those at v
+    held = [0] * n
+    for w in taken:
+        row = rows[w]
+        # each v in N(w) in ascending order, paired with the earlier
+        # vertices of N(w) it is not adjacent to, whose held is already
+        # set at w.  The bit loops are `bits` written out: its generators
+        # cost a sixth of the check
+        rest = row
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            miss = row & ~rows[v] ^ low
+            if not miss:
+                continue
+            tail = held[v] = n * (miss.bit_count() + (centres >> v & 1 and (
+                rows[v] & ~row ^ 1 << w).bit_count()))
+            # the non-edge uv is held by one triple per centre next to both
+            common = rows[v] & centres
+            earlier = miss & low - 1
+            while earlier:
+                bit = earlier & -earlier
+                earlier ^= bit
+                u = bit.bit_length() - 1
+                keys.append(held[u] + u + tail
+                            + n * (common & rows[u]).bit_count())
+                triples.append((u, w, v))
+    if len(triples) <= k:
+        return None
+    # partners[x]: the vertices y whose pair xy a packed triple holds
+    partners = [0] * n
+    packing = []
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        u, w, v = triples[i]
+        if partners[u] & (1 << w | 1 << v) or partners[w] >> v & 1:
+            continue
+        partners[u] |= 1 << w | 1 << v
+        partners[w] |= 1 << u | 1 << v
+        partners[v] |= 1 << u | 1 << w
+        packing.append(triples[i])
+        if len(packing) > k:
+            return "conflict_triples", packing
+    return None
 
 
 def lift_clustering(outcome: PreprocessOutcome, cl: Clustering,

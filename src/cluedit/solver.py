@@ -1,5 +1,18 @@
 """Exact (p-)cluster-editing decision via dynamic programming over cuts.
 
+Pipeline: preprocess (`preprocess`, the reduction rules) -> early NO
+(`early_no` on the kernel: a closed-twin class count and a packing of
+conflict triples, each a proof of NO that lists no cut) -> cuts
+(`enumerate_k_cuts`, capped by the counting bound) -> DP (`_dp_numpy`),
+then the chain's clusters are lifted to the input and verified.  Every NO
+names its proof in ``SolveStats.no_reason``: "rule1" or "p_exceeds_n"
+from preprocessing, "class_count" or "conflict_triples" from the early
+check, "cut_bound" from an enumeration abort at the bound, or "dp" when no
+chain within budget reaches V.  A kernel with p' = 0 takes the same
+route: its counting bound B(0, 2k) is 1, so a kernel with a vertex, which
+has at least two cuts, aborts at the bound, and the empty kernel's one
+cut is V itself, which layer 0 of the DP reaches.
+
 A solution with clusters X_1..X_p induces the prefix bipartitions
 (X_1 u .. u X_j, rest), each of which must be a k-cut: every crossing edge
 of a prefix is deleted by the solution.  Conversely any chain of p nested
@@ -109,7 +122,8 @@ from .cuts import (CutIndex, _keys, _lowest, _mask, _sizes, _words,
 # connected_components is not used here; bench/spans.py patches it by name
 from .graph import (Clustering, Graph, bits, clustering_to_edit_set,
                     connected_components)
-from .preprocess import Instance, PreprocessOutcome, lift_clustering, preprocess
+from .preprocess import (Instance, PreprocessOutcome, early_no,
+                         lift_clustering, preprocess)
 
 
 @dataclass(frozen=True)
@@ -125,6 +139,9 @@ class SolveStats:
     dp_states: int = 0
     rules_applied: list[str] = field(default_factory=list)
     aborted: bool = False
+    # the proof of a NO (see the module docstring); None unless the answer
+    # is NO
+    no_reason: str | None = None
 
 
 @dataclass
@@ -241,17 +258,19 @@ def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
 _dp_python = _dp_numpy
 
 
-def _no(stats: SolveStats) -> SolveResult:
+def _no(stats: SolveStats, reason: str) -> SolveResult:
+    stats.no_reason = reason
     return SolveResult(False, None, stats)
 
 
 def solve_exact_p(inst: Instance, cap: int | None = None) -> SolveResult:
     """Decide whether <= k edits reach a cluster graph with exactly p cliques.
 
-    Pipeline: reduction rules, cut enumeration capped by the counting bound
-    (abort => NO), layered DP, reconstruction, lift-back, verification.
-    `cap` overrides the enumeration cap (default: the counting bound); an
-    abort under a cap below the bound answers None, unknown.
+    Pipeline: reduction rules, the early NO check, cut enumeration capped
+    by the counting bound (abort => NO), layered DP, reconstruction,
+    lift-back, verification.  `cap` overrides the enumeration cap
+    (default: the counting bound); an abort under a cap below the bound
+    answers None, unknown.
     """
     if inst.mode != "exact":
         raise ValueError("solve_exact_p needs an exact-mode instance")
@@ -277,18 +296,16 @@ def _solve(inst: Instance, cap: int | None) -> SolveResult:
     outcome = preprocess(inst)
     stats.rules_applied = outcome.rules_applied
     if outcome.rejected:
-        return _no(stats)
+        return _no(stats, outcome.reason)
     red = outcome.instance
     assert red is not None
     # no clustering of the kernel costs more than C(n', 2), and under that
     # budget every mask is a cut, so a larger k changes nothing; the clamp
     # keeps the O(k^3) bound and the DP's int64 keys small
     g, p, k = red.g, red.p, min(red.k, comb(red.g.n, 2))
-
-    if p == 0:
-        if g.n > 0:
-            return _no(stats)
-        return _finish(inst, outcome, Clustering(()), stats)
+    proof = early_no(g, p, k)
+    if proof is not None:
+        return _no(stats, proof[0])
 
     bound = cut_count_bound(p, k)
     if cap is None:
@@ -298,12 +315,14 @@ def _solve(inst: Instance, cap: int | None) -> SolveResult:
         stats.aborted = True
         # only more cuts than the bound allows, in g or in a range its list
         # is joined from, rule out a solution
-        return SolveResult(None if cap < bound else False, None, stats)
+        if cap < bound:
+            return SolveResult(None, None, stats)
+        return _no(stats, "cut_bound")
     stats.cuts_enumerated = len(cuts)
 
     chain = _dp_numpy(g, cuts, p, k, stats, inst.mode == "at_most")
     if chain is None:
-        return _no(stats)
+        return _no(stats, "dp")
     reduced_cl = Clustering.from_blocks(
         g.n, (bits(cur & ~prev) for prev, cur in zip(chain, chain[1:])))
     return _finish(inst, outcome, reduced_cl, stats)
@@ -356,6 +375,7 @@ def result_to_dict(res: SolveResult, g: Graph, base: int = 0) -> dict:
         "dp_states": res.stats.dp_states,
         "rules_applied": list(res.stats.rules_applied),
         "aborted": res.stats.aborted,
+        "no_reason": res.stats.no_reason,
     }
     if not res.answer:
         return {"answer": "no" if res.answer is False else "unknown",

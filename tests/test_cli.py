@@ -54,7 +54,8 @@ def test_solve_yes_json(graph_file):
     assert len(out["clusters"]) == 2
     assert len(out["additions"]) + len(out["deletions"]) == 1
     assert set(out["stats"]) == {"cuts_enumerated", "dp_states",
-                                 "rules_applied", "aborted"}
+                                 "rules_applied", "aborted", "no_reason"}
+    assert out["stats"]["no_reason"] is None
     assert "wall_time_s=" in res.stderr
 
 
@@ -64,6 +65,8 @@ def test_solve_no_exit_code(graph_file):
     out = json.loads(res.stdout)
     assert out["answer"] == "no"
     assert out["cost"] is None
+    # the path has no clique component, and Rule 1 needs p - 2k = 2
+    assert out["stats"]["no_reason"] == "rule1"
 
 
 @pytest.mark.parametrize("k", [10 ** 8, 10 ** 29])
@@ -197,9 +200,9 @@ AT_MOST_CODES = [0, 1, 0, 0, 0, 0, 1, 0]
 # SHA-256 of the stdout of all PINNED_CASES in order
 PINNED_STDOUT = {
     ("solve", "json", "exact"):
-        "6ab65b00a22b50c5a4072fdace6cdccdee816f3f5959ffbd30e2bb646d865cb8",
+        "446773b51873c0a283bfbac3de31f078b75c85dcd2ffb4c9e90f55c187e82a63",
     ("solve", "json", "at-most"):
-        "eefd351a029a772b5fa1467712b46747a0413fded9b41590d0db406751ba3653",
+        "695711257db61f3968a701d7d09b229cdf6292c63aa6ed01fd9b512855a70571",
     ("solve", "text", "exact"):
         "e882cb52cac487e43f0b86a17a4d859295b6d6252b12a7cc713dc59b91ee9cc7",
     ("solve", "text", "at-most"):

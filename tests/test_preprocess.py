@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -278,3 +279,82 @@ def test_one_component_pass_whatever_fires(monkeypatch):
         out = preprocess(Instance(g, p, k, "exact"))
         assert calls == {"cliques": 0, "components": 0, "induced": 0}
         assert out.rules_applied == [] and out.instance.g == g
+
+
+def criterion_1_graphs():
+    """The graphs of acceptance criterion 1: every labelled graph on 1-5
+    vertices, then 200 seeded random graphs on 6-8 vertices."""
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs))
+                                       if chosen >> i & 1])
+    rng = random.Random(101)
+    for _ in range(200):
+        n = rng.randint(6, 8)
+        yield Graph.from_edges(
+            n, oracles.random_edges(rng, n, rng.uniform(0.2, 0.8)))
+
+
+def test_early_no_is_sound_on_criterion_1_graphs():
+    # the check runs on the kernel, as the solver runs it; it never fires
+    # on a YES, and each packing is k + 1 induced P3s of the input, taken
+    # back through vertex_map, no two sharing a vertex pair
+    fired = {"class_count": 0, "conflict_triples": 0}
+    for g in criterion_1_graphs():
+        best = [oracle_best_cost(g, c) for c in range(g.n + 1)]
+        for p in range(1, g.n + 1):
+            for mode in ("exact", "at_most"):
+                costs = [c for c in (best[p:p + 1] if mode == "exact"
+                                     else best[1:p + 1]) if c is not None]
+                opt = min(costs, default=None)
+                for k in range(9):
+                    out = preprocess(Instance(g, p, k, mode))
+                    if out.rejected:
+                        continue
+                    red = out.instance
+                    proof = preprocess_module.early_no(red.g, red.p, red.k)
+                    if proof is None:
+                        continue
+                    reason, packing = proof
+                    fired[reason] += 1
+                    assert opt is None or opt > k, (list(g.edges()), p, k)
+                    if reason == "class_count":
+                        assert packing == []
+                        continue
+                    assert len(packing) == k + 1
+                    held = set()
+                    for trio in packing:
+                        u, w, v = (out.vertex_map[x] for x in trio)
+                        assert g.has_edge(u, w) and g.has_edge(w, v)
+                        assert not g.has_edge(u, v) and u != v
+                        held.update(frozenset(pair) for pair in
+                                    ((u, w), (w, v), (u, v)))
+                    assert len(held) == 3 * (k + 1)
+    # 10,451 and 11,306 when written
+    assert fired["class_count"] > 10000 and fired["conflict_triples"] > 10000
+
+
+def hub_graph(size):
+    """Two cliques of *size* vertices and a hub next to all of them."""
+    a = (1 << size) - 1
+    b, hub = a << size, 1 << 2 * size
+    return Graph(tuple([a ^ 1 << v | hub for v in range(size)]
+                       + [b ^ 1 << v | hub for v in range(size, 2 * size)]
+                       + [a | b]))
+
+
+def test_early_no_skips_centres_past_the_triple_budget():
+    # the hub centres |A| |B| triples u-hub-v, and any matching of A to B
+    # gives a packing: at size 30 its 1770 neighbour pairs fit the budget
+    # and k = 5 is a proven NO (the optimum deletes the 30 edges to one
+    # clique)
+    g = hub_graph(30)
+    assert preprocess_module.early_no(g, 2, 5)[0] == "conflict_triples"
+    # at size 1000 the hub and both cliques' classes hold over 2^16
+    # neighbour pairs each, so no centre is taken, where listing the hub's
+    # 10^6 triples would take seconds and over 100 MB
+    g = hub_graph(1000)
+    start = time.perf_counter()
+    assert preprocess_module.early_no(g, 2, 5) is None
+    assert time.perf_counter() - start < 0.5

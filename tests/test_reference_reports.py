@@ -9,8 +9,8 @@ pins one SHA-256 over every key and report.  The reports leave out
 ``stats.dp_states``, which counts the DP's work and not its result: a DP
 change that keeps fewer states moves only that field, and the DP tests
 compare it against ``oracles.dp_reference``.  Certificates, the cut counts,
-the rules applied and the abort flag all stay in the pin.  The test only
-reads ``bench/``.
+the rules applied, the abort flag and the NO reason all stay in the pin.
+The test only reads ``bench/``.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # SHA-256 over each instance's key and report, in reference.json order
 PINNED_REPORTS = (
-    "b317e095e15cc06e66b0dc94892f548f26039ea036702e84efad99639cd6f3e6")
+    "8446c69ba3dd909fc16dca520a589df72b2c38bbabca04b145839c303c23a51e")
 
 
 def _workloads(monkeypatch):

@@ -179,19 +179,36 @@ def test_cap_override_aborts(monkeypatch):
         assert result_to_dict(res3, path(4))["answer"] == "no"
 
 
-def test_long_path_aborts_at_its_first_long_range():
-    # a 3000-vertex path at p = 2, k = 1: no rule fires, and the first
-    # joined range, vertices 0-22, has 2 + 2 * 22 = 46 cuts, more than
-    # B(2, 1) = 40, which proves NO; under a cap below the bound the same
-    # abort is unknown
-    g = path(3000)
+def test_long_path_answers_no_from_its_class_count():
+    # a 10^4-vertex path at p = 2, k = 1: no rule fires, and its n closed
+    # rows are all distinct, more than 2k + p = 4 classes, so the solver
+    # answers before it lists a cut; the count stops at the fifth class
+    g = path(10 ** 4)
     start = time.perf_counter()
     res = solve_exact_p(Instance(g, 2, 1, "exact"))
     assert time.perf_counter() - start < 1
+    assert res.answer is False and not res.stats.aborted
+    assert res.stats.no_reason == "class_count"
+    assert res.stats.cuts_enumerated == 0
+
+
+def test_disjoint_edges_abort_at_their_join():
+    # 10 disjoint edges at p = 2, k = 4: 10 closed-twin classes, at most
+    # 2k + p, and no conflict triple, so neither early bound settles it.
+    # Each 10-vertex half lists 2^5 * (C(5, 0) + .. + C(5, 4)) = 992 cuts,
+    # under the counting bound of 1864, and their join passes the bound,
+    # which proves NO; under a cap below the bound the same abort is
+    # unknown
+    g = Graph.from_edges(20, [(2 * i, 2 * i + 1) for i in range(10)])
+    assert cut_count_bound(2, 4) == 1864
+    assert len(enumerate_k_cuts(Graph.from_edges(
+        10, [(2 * i, 2 * i + 1) for i in range(5)]), 4)) == 992
+    res = solve_exact_p(Instance(g, 2, 4, "exact"))
     assert res.answer is False and res.stats.aborted
-    assert cut_count_bound(2, 1) == 40
-    res = solve_exact_p(Instance(g, 2, 1, "exact"), cap=39)
+    assert res.stats.no_reason == "cut_bound"
+    res = solve_exact_p(Instance(g, 2, 4, "exact"), cap=1863)
     assert res.answer is None and res.stats.aborted
+    assert res.stats.no_reason is None
 
 
 def test_python_dp_route_on_wide_graphs():
@@ -523,7 +540,8 @@ def test_result_to_dict_shapes():
     assert all(min(c) >= 1 for c in d["clusters"])
     assert d["additions"] == [] and len(d["deletions"]) == 1
     assert set(d["stats"]) == {"cuts_enumerated", "dp_states",
-                               "rules_applied", "aborted"}
+                               "rules_applied", "aborted", "no_reason"}
+    assert d["stats"]["no_reason"] is None
     # one edit graph splits into additions and deletions against the input
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     edits = Graph.from_edges(4, [(1, 2), (0, 3)])
@@ -534,6 +552,7 @@ def test_result_to_dict_shapes():
     no = solve_exact_p(Instance(path(3), 2, 0, "exact"))
     dn = result_to_dict(no, inst.g)
     assert dn["answer"] == "no" and dn["cost"] is None and dn["clusters"] == []
+    assert dn["stats"]["no_reason"] == "rule1"
 
 
 def test_zero_p_degenerate_cases():
