@@ -21,9 +21,10 @@ membership matrices with the adjacency block between them.  Every list
 is handed over as arrays, in ascending order of the side-1 mask
 (``cluedit cuts`` shows them by side-1 size, then mask): side 1 as rows
 of uint64 words, and as int64 the crossing count and e(V1), the number of
-edges inside side 1, which the solver's DP reads as they are.  The time is
-polynomial in n and in the longest list, that of G or of a range it is
-joined from; a list comes out whole, so there is no polynomial delay.
+edges inside side 1, which the solver's DP reads as they are, in that
+order.  The time is polynomial in n and in the longest list, that of G or
+of a range it is joined from; a list comes out whole, so there is no
+polynomial delay.
 
 The cap on the number of k-cuts is exact counting, finite for every p and
 k: a YES instance is a cluster graph H of at most p cliques with at most k
@@ -149,9 +150,7 @@ class EnumStats:
 def _words(masks, n: int) -> np.ndarray:
     """The masks as a (len(masks), W) uint64 array, W = max(1, ceil(n / 64)):
     word i of a row holds vertices 64 i .. 64 i + 63."""
-    if n <= 64:
-        return np.array(masks, dtype=np.uint64).reshape(-1, 1)
-    width = (n + 63) // 64
+    width = max(1, (n + 63) // 64)
     raw = b"".join(m.to_bytes(8 * width, "little") for m in masks)
     return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, width)
 
@@ -206,12 +205,10 @@ class CutIndex:
 
     Row i of ``words`` is side 1 of the i-th cut, in the layout of
     `_words`, ``crossing_counts[i]`` (int64) its crossing count and
-    ``inside_counts[i]`` (int64) the number of edges inside side 1.  The
-    rows are sorted by mask value, so the order is a property of the cut
-    set alone.  ``cluedit cuts`` shows the same cuts by (side-1 size,
-    mask).  The solver's DP reads the rows as a set: it sorts them by mask
-    itself, and its tie-break is the smallest parent prefix, not a row
-    position.
+    ``inside_counts[i]`` (int64) the number of edges inside side 1.
+    `enumerate_k_cuts` guarantees that the rows ascend by side-1 mask, so
+    the order is a property of the cut set alone; the solver's DP and
+    ``cluedit cuts`` rely on it and sort nothing back into it.
     """
 
     words: np.ndarray
@@ -228,12 +225,13 @@ def enumerate_k_cuts(g: Graph, k: int, cap: int | None = None) -> CutIndex | Non
 
     Returns None when the list of g, or of any vertex range it is joined
     from, has more than *cap* cuts; cap None lists them all.  The cuts
-    come sorted by side-1 mask.  Up to ``LEAF`` vertices nothing is
-    joined: every mask is decided by ``m - e(S) - e(V - S) <= k``.
-    Beyond, the lists of the id ranges [0, n // 2) and [n // 2, n), each
-    listed the same way, are joined (see the module docstring).  The time
-    is polynomial in n and in the longest of these lists, and nothing is
-    returned before the whole list: there is no polynomial delay.
+    come in ascending side-1 mask order, which the callers rely on.  Up to
+    ``LEAF`` vertices nothing is joined: every mask is decided by
+    ``m - e(S) - e(V - S) <= k``.  Beyond, the lists of the id ranges
+    [0, n // 2) and [n // 2, n), each listed the same way, are joined (see
+    the module docstring).  The time is polynomial in n and in the longest
+    of these lists, and nothing is returned before the whole list: there
+    is no polynomial delay.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

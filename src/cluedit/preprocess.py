@@ -178,21 +178,23 @@ def early_no(g: Graph, p: int, k: int
     of their three pairs, ties by (u, w, v), stopping at k + 1.
     """
     rows, n, most = g.rows, g.n, 2 * k + p
-    # each class by its first vertex; stops once the count proves NO
-    first: dict[int, int] = {}
-    for v, row in enumerate(rows):
-        if first.setdefault(row | 1 << v, v) == v and len(first) > most:
-            return "class_count", []
-    # the centres: the first vertex of each class, skipping one whose
-    # neighbour pairs, which bound the triples listed at it, no longer fit
-    # in _TRIPLES
+    # the classes, which stop once their count proves NO, and the centres:
+    # the first vertex of each class, skipping one whose neighbour pairs,
+    # which bound the triples listed at it, no longer fit in _TRIPLES
+    classes: set[int] = set()
     taken, room, centres = [], _TRIPLES, 0
-    for w in first.values():
-        pairs = rows[w].bit_count() * (rows[w].bit_count() - 1) // 2
+    for v, row in enumerate(rows):
+        closed = row | 1 << v
+        if closed in classes:
+            continue
+        classes.add(closed)
+        if len(classes) > most:
+            return "class_count", []
+        pairs = row.bit_count() * (row.bit_count() - 1) // 2
         if pairs <= room:
             room -= pairs
-            taken.append(w)
-            centres |= 1 << w
+            taken.append(v)
+            centres |= 1 << v
     # the listed triples u-w-v (u < v), and for each its count times n
     # plus u, so that a stable sort by it orders them by (count, u, w, v)
     triples, keys = [], []

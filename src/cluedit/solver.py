@@ -57,7 +57,7 @@ from the cut list as the enumeration hands it over: |X| is the popcount
 of its uint64 words, and e(X) and crossing(X) are its int64 inside and
 crossing counts.  The module `cuts` owns that word layout; the DP reads
 the words only through its helpers (`_sizes`, `_lowest`, `_keys`,
-`_words`, `_mask`).
+`_mask`) and bitwise operators.
 
 Candidates and states.  In a clustering of cost <= k every boundary edge
 is deleted, so each cluster X is a side of a k-cut, and for the same
@@ -91,7 +91,8 @@ optimum for exactly j clusters, or nothing when that optimum exceeds k, in
 both modes.  ``dp_states`` counts the (layer, prefix) states kept over
 layers 0..p, after both tests.
 
-Layout.  The DP sorts the cut list by mask, so a state is the position of
+Layout.  `enumerate_k_cuts` hands the cut list over in ascending mask
+order, and the DP reads it in that order, so a state is the position of
 its prefix in the list: the empty set is the first row and V the last.
 Each cut's start key, low(S) times 2k + 1, is computed once per kernel,
 and a new prefix takes its own from the row its membership search found.
@@ -99,11 +100,10 @@ Layer 1 needs no pairing: it is the candidates that hold vertex 0, each
 on the empty prefix.
 
 Tie-break.  Among the pairs that reach one prefix at the least F, the one
-from the smallest parent prefix, as an integer mask, wins.  So the
-returned chain depends only on the cut set, not on the order of its rows.
-The chain's differences are the kernel's clusters, which
-`Clustering.from_blocks` turns into the kernel clustering that
-`lift_clustering` takes back to the input.
+from the smallest parent prefix, as an integer mask, wins: that is the
+parent at the lowest position.  The chain's differences are the kernel's
+clusters, which `Clustering.from_blocks` turns into the kernel clustering
+that `lift_clustering` takes back to the input.
 
 `_dp_numpy` is the one DP.  ``dp_reference`` in ``tests/oracles.py``
 restates it on python ints and dicts, and the tests compare the two chain
@@ -117,8 +117,8 @@ from math import comb
 import numpy as np
 
 # edges_inside_table is not used here; bench/spans.py patches it by name
-from .cuts import (CutIndex, _keys, _lowest, _mask, _sizes, _words,
-                   cut_count_bound, edges_inside_table, enumerate_k_cuts)
+from .cuts import (CutIndex, _keys, _lowest, _mask, _sizes, cut_count_bound,
+                   edges_inside_table, enumerate_k_cuts)
 # connected_components is not used here; bench/spans.py patches it by name
 from .graph import (Clustering, Graph, bits, clustering_to_edit_set,
                     connected_components)
@@ -151,14 +151,6 @@ class SolveResult:
     stats: SolveStats
 
 
-def _weights(words: np.ndarray, crossing: np.ndarray,
-             inside: np.ndarray) -> np.ndarray:
-    """w(X) = |X|(|X| - 1) - 2 e(X) + crossing(X) for each row X of
-    `_words`, given the rows' crossing and inside-edge counts (int64)."""
-    size = _sizes(words)
-    return size * (size - 1) - 2 * inside + crossing
-
-
 def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
               stats: SolveStats, at_most: bool = False) -> list[int] | None:
     """Layered DP over canonical prefixes and candidate clusters; any n.
@@ -167,32 +159,30 @@ def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
     optimal solution with exactly p clusters, or with the cheapest count in
     0..p when *at_most* (ties go to the fewest clusters), or None.  It
     keeps only the candidates with w(X) + crossing(X) <= 2k and the states
-    with F + crossing(S) <= 2k (see the module docstring).  S and X are
-    disjoint iff S + X = S | X in every uint64 word: a word's sum is
-    (S | X) + (S & X), and S & X is below 2^64, so even the wrapped sum
-    equals the union only when S & X = 0.  Its int64 keys reach about 2kn,
-    which `_solve` keeps small by clamping k to C(n, 2).  ``dp_reference``
-    in ``tests/oracles.py`` is its python-int reference, with the same
-    states, tie-break and ``dp_states``.
+    with F + crossing(S) <= 2k (see the module docstring).  *cuts* must
+    hold its rows in ascending mask order, as `enumerate_k_cuts` hands them
+    over.  Its int64 keys reach about 2kn, which `_solve` keeps small by
+    clamping k to C(n, 2).  ``dp_reference`` in ``tests/oracles.py`` is its
+    python-int reference, with the same states, tie-break and
+    ``dp_states``.
     """
     n = g.n
     budget = 2 * k
-    # the rows in mask order, so that a state is the position of its mask:
-    # the empty set is row 0, and V, a cut of every graph, the last row
-    keys = _keys(cuts.words)
-    rank = keys.argsort(kind="stable")
-    cut_keys, cut_words = keys[rank], cuts.words[rank]
-    crossing = cuts.crossing_counts[rank]
-    weight = _weights(cut_words, crossing, cuts.inside_counts[rank])
+    # a state is the position of its mask in the list: the empty set is
+    # row 0, and V, a cut of every graph, the last row
+    cut_words, crossing = cuts.words, cuts.crossing_counts
+    cut_keys = _keys(cut_words)
+    size = _sizes(cut_words)
+    weight = size * (size - 1) - 2 * cuts.inside_counts + crossing
     # the nonempty cuts that some chain within budget can hold (row 0, the
     # empty set, passes the test)
     cand = np.flatnonzero(weight + crossing <= budget)[1:]
     # one pass over the candidates and the complements of all cuts: each
     # candidate's lowest vertex, and each cut's start key, where the
     # candidates a prefix can take begin (its lowest missing vertex, n for
-    # V), both times budget + 1
-    full = _words([(1 << n) - 1], n)
-    low = _lowest(np.concatenate((cut_words[cand], ~cut_words & full)),
+    # V, whose complement holds only padding bits past n), both times
+    # budget + 1
+    low = _lowest(np.concatenate((cut_words[cand], ~cut_words)),
                   n) * (budget + 1)
     cand_key, cut_start = low[:len(cand)] + weight[cand], low[len(cand):]
     layers = [(np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.int64), None)]
@@ -222,10 +212,10 @@ def _dp_numpy(g: Graph, cuts: CutIndex, p: int, k: int,
         # every union lies in V, the largest key, so the search stays inside
         at = cut_keys.searchsorted(key)
         total = spent[src] + cand_weight[pick]
-        # the union is a cut, the two are disjoint (no word of the sum
-        # carries), and the edges leaving the union still fit the budget
+        # the union is a cut, the two are disjoint, and the edges leaving
+        # the union still fit the budget
         ok = ((cut_keys[at] == key)
-              & (_keys(prefix + cluster) == key)
+              & ~(prefix & cluster).any(axis=1)
               & (total + crossing[at] <= budget))
         src, at, total = src[ok], at[ok], total[ok]
         if not len(at):

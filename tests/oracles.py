@@ -20,7 +20,9 @@ cluster order, that the solver's one canonical chain per clustering
 replaced, and ``dp_reference`` is the solver's canonical-chain DP on
 python ints and dicts, which ``solver._dp_numpy`` must match chain for
 chain.  ``lift_reference`` is the per-vertex assignment walk that
-``preprocess.lift_clustering`` replaced with one ``Clustering.from_blocks``.
+``preprocess.lift_clustering`` replaced with one ``Clustering.from_blocks``,
+and ``early_no_reference`` restates ``preprocess.early_no``'s packing order
+as its docstring gives it, without the arithmetic on packed sort keys.
 ``cut_masks`` decodes a ``CutIndex``'s uint64 words into python-int masks
 by plain shifts, without the package's word helpers.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 
 import mpmath
 import numpy as np
@@ -39,7 +41,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from cluedit.cuts import CutIndex
 from cluedit.graph import (Clustering, Graph, apply_edits, bits,
                            connected_components, induced_subgraph)
-from cluedit.preprocess import Instance, PreprocessOutcome
+from cluedit.preprocess import _TRIPLES, Instance, PreprocessOutcome
 from cluedit.solver import Solution, SolveResult, SolveStats, solve_exact_p
 
 
@@ -198,6 +200,45 @@ def preprocess_stepwise(inst: Instance) -> PreprocessOutcome:
         p = g.n
     return PreprocessOutcome(None, Instance(g, p, k, mode), tuple(vmap),
                              removed)
+
+
+def early_no_reference(g: Graph, p: int, k: int
+                       ) -> tuple[str, list[tuple[int, int, int]]] | None:
+    """``preprocess.early_no`` restated from its docstring on sets and a
+    `Counter`: count the closed-twin classes, then list the conflict
+    triples u-w-v (u < v) at the first vertex of each class, skipping a
+    centre whose d(d - 1)/2 neighbour pairs would take the centres before
+    it past ``_TRIPLES``, and pack them greedily in ascending order of
+    (summed listed triples per pair, u, w, v)."""
+    classes: dict[int, int] = {}
+    for v in range(g.n):
+        classes.setdefault(g.rows[v] | 1 << v, v)
+    if len(classes) > 2 * k + p:
+        return "class_count", []
+    room, triples = _TRIPLES, []
+    for w in sorted(classes.values()):
+        pairs = math.comb(g.rows[w].bit_count(), 2)
+        if pairs > room:
+            continue
+        room -= pairs
+        triples += [(u, w, v) for u, v in itertools.combinations(
+            bits(g.rows[w]), 2) if not g.has_edge(u, v)]
+
+    def pairs_of(trio):
+        u, w, v = trio
+        return frozenset((u, w)), frozenset((w, v)), frozenset((u, v))
+
+    listed = Counter(pair for trio in triples for pair in pairs_of(trio))
+    held: set[frozenset] = set()
+    packing = []
+    for trio in sorted(triples, key=lambda trio: (
+            sum(listed[pair] for pair in pairs_of(trio)), *trio)):
+        if held.isdisjoint(pairs_of(trio)):
+            held.update(pairs_of(trio))
+            packing.append(trio)
+            if len(packing) > k:
+                return "conflict_triples", packing
+    return None
 
 
 def lift_reference(outcome: PreprocessOutcome, cl: Clustering,

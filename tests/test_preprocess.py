@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import math
 import random
 import time
 
@@ -358,3 +359,32 @@ def test_early_no_skips_centres_past_the_triple_budget():
     start = time.perf_counter()
     assert preprocess_module.early_no(g, 2, 5) is None
     assert time.perf_counter() - start < 0.5
+
+
+def test_early_no_packs_in_its_documented_order():
+    # the whole return value, reason and packing in order, is the one its
+    # docstring spells out: on criterion 1's graphs, on seeded graphs of up
+    # to 14 vertices, and on a hub past the triple budget with a few edges
+    # taken out of its cliques, which gives its other centres triples
+    cases = [(g, p, k) for g in criterion_1_graphs()
+             for p in range(1, g.n + 1) for k in range(5)]
+    rng = random.Random(103)
+    for _ in range(800):
+        n = rng.randint(1, 14)
+        g = Graph.from_edges(n, oracles.random_edges(rng, n, rng.random()))
+        cases += [(g, p, k) for p in sorted({1, 2, 3, n}) for k in range(6)]
+    hub = hub_graph(200)
+    edges = [(u, v) for u, v in hub.edges() if u != 400 and v != 400]
+    removed = rng.sample(edges, 8)
+    hub = Graph.from_edges(401, [e for e in hub.edges() if e not in removed])
+    assert math.comb(hub.rows[400].bit_count(), 2) > preprocess_module._TRIPLES
+    # at p = 2 its classes prove NO up to k = 8, at p = 20 its packing up
+    # to k = 3
+    cases += [(hub, p, k) for p in (2, 20) for k in range(10)]
+    fired = {"class_count": 0, "conflict_triples": 0, None: 0}
+    for g, p, k in cases:
+        proof = preprocess_module.early_no(g, p, k)
+        assert proof == oracles.early_no_reference(g, p, k), (
+            list(g.edges()), p, k)
+        fired[proof and proof[0]] += 1
+    assert fired["class_count"] > 1000 and fired["conflict_triples"] > 1000

@@ -15,6 +15,7 @@ from cluedit import (Clustering, CutIndex, Graph, Instance, Solution,
                      solve_exact_p, verify_solution)
 from cluedit import solver
 from cluedit.bruteforce import oracle_best_cost
+from cluedit.cuts import _keys, _lowest, _mask, _words
 from cluedit.graph import bits, clustering_to_edit_set
 from cluedit.solver import (SolveResult, SolveStats, _dp_numpy,
                             result_to_dict)
@@ -301,7 +302,7 @@ def test_dp_never_joins_overlapping_sides(head):
     g = Graph.from_edges(n, edges)
     masks = [0, full ^ 1 << a ^ 1 << b, 1 << a | 1 << b | 1 << z, full]
     cuts = CutIndex(
-        solver._words(masks, n),
+        _words(masks, n),
         np.array([oracles.crossing_count(n, edges, m) for m in masks],
                  dtype=np.int64),
         np.array([sum(1 for u, v in edges if m >> u & 1 and m >> v & 1)
@@ -310,24 +311,6 @@ def test_dp_never_joins_overlapping_sides(head):
     assert oracles.dp_reference(g, cuts, 2, head + 1, want_stats) is None
     assert _dp_numpy(g, cuts, 2, head + 1, stats) is None
     assert stats.dp_states == want_stats.dp_states
-
-
-def test_dp_reads_the_cut_list_as_a_set():
-    # the tie-break is the smallest parent prefix, not a row position, so
-    # shuffling the rows of the cut list moves neither the chain nor the
-    # state count
-    rng = random.Random(97)
-    shuffle = np.random.default_rng(97)
-    for g, k, counts in _dp_cases(rng):
-        cuts = enumerate_k_cuts(g, k)
-        perm = shuffle.permutation(len(cuts))
-        shuffled = CutIndex(cuts.words[perm], cuts.crossing_counts[perm],
-                            cuts.inside_counts[perm])
-        for p, at_most in itertools.product(counts, (False, True)):
-            want_stats, stats = SolveStats(), SolveStats()
-            chain = _dp_numpy(g, cuts, p, k, want_stats, at_most)
-            assert _dp_numpy(g, shuffled, p, k, stats, at_most) == chain
-            assert stats.dp_states == want_stats.dp_states
 
 
 def test_one_arc_chain_per_partition():
@@ -363,13 +346,11 @@ def test_cluster_weights_sum_to_twice_the_editing_cost():
         g = Graph.from_edges(n, edges)
         parts = list(oracles.partitions(range(n)))
         masks = [mask_of(block) for part in parts for block in part]
-        crossing = {m: oracles.crossing_count(n, edges, m) for m in set(masks)}
-        inside = {m: sum(1 for u, v in edges if m >> u & 1 and m >> v & 1)
-                  for m in set(masks)}
-        weights = solver._weights(
-            solver._words(masks, n),
-            np.array([crossing[m] for m in masks], dtype=np.int64),
-            np.array([inside[m] for m in masks], dtype=np.int64))
+        # w(X) = |X| (|X| - 1) - 2 e(X) + crossing(X), as the DP takes it
+        weight = {m: m.bit_count() * (m.bit_count() - 1)
+                  - 2 * sum(1 for u, v in edges if m >> u & 1 and m >> v & 1)
+                  + oracles.crossing_count(n, edges, m) for m in set(masks)}
+        weights = [weight[m] for m in masks]
         starts = np.cumsum([0] + [len(part) for part in parts[:-1]])
         sums = np.add.reduceat(weights, starts)
         assert sums.tolist() == [2 * oracles.editing_cost(n, edges, part)
@@ -381,12 +362,12 @@ def test_mask_words_round_trip_across_word_boundaries():
     for n in (1, 63, 64, 65, 128, 130):
         masks = [0, (1 << n) - 1, 1 << (n - 1)] + [rng.getrandbits(n)
                                                    for _ in range(20)]
-        words = solver._words(masks, n)
+        words = _words(masks, n)
         assert words.shape == (len(masks), max(1, -(-n // 64)))
-        assert [solver._mask(row) for row in words] == masks
+        assert [_mask(row) for row in words] == masks
         lowest = [(m & -m).bit_length() - 1 if m else n for m in masks]
-        assert solver._lowest(words, n).tolist() == lowest
-        keys = solver._keys(words)
+        assert _lowest(words, n).tolist() == lowest
+        keys = _keys(words)
         assert np.argsort(keys, kind="stable").tolist() == sorted(
             range(len(masks)), key=masks.__getitem__)
 
