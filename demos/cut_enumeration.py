@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Enumerate small edge cuts and print the counting bound on their number.
 
-The solver branches over ordered bipartitions (V1, V2) whose crossing
+The solver's DP chains ordered bipartitions (V1, V2) whose crossing
 edge count is at most k.  This demo enumerates them for a 6-cycle,
 cross-checks the count against a power-set filter, and prints the
 counting bound B(p, 2k) that caps the solver's enumeration.  A graph

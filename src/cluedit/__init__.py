@@ -1,8 +1,8 @@
 """Exact solver toolkit for (p-)cluster editing.
 
 Decide whether a graph can be turned into a disjoint union of exactly (or
-at most) p cliques with at most k edge edits, enumerate the small edge
-cuts the algorithm branches over, preprocess instances with safe reduction
+at most) p cliques with at most k edge edits, list the k-cuts whose
+chains the solver's DP walks, preprocess instances with safe reduction
 rules, cross-check everything against brute force, and generate SAT-based
 hardness instances with exact-budget witnesses.
 """
@@ -12,9 +12,8 @@ from .cnf import (CnfFormula, brute_force_sat, format_dimacs, parse_assignment,
 from .cuts import (CutIndex, cut_count_bound, edges_inside_table,
                    enumerate_k_cuts)
 from .graph import (Clustering, Graph, apply_edits, clustering_to_edit_set,
-                    cluster_graph_of, connected_components, format_graph,
-                    induced_subgraph, is_cluster_graph, parse_graph,
-                    read_graph, write_graph)
+                    cluster_graph_of, format_graph, induced_subgraph,
+                    is_cluster_graph, parse_graph, read_graph, write_graph)
 from .preprocess import Instance, PreprocessOutcome, lift_clustering, preprocess
 from .reductions import (CliqueArtifact, CliqueWitness, DegreeArtifact,
                          attachment_counts, budget_summands, build_eth,

@@ -44,7 +44,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import Graph, bits
+from .graph import Graph, _retired
 
 # a vertex range of at most this many vertices is listed from its
 # 2^(n-1) table; past it the table's time and memory outgrow joining two
@@ -57,49 +57,9 @@ LEAF = 16
 _PAIRS = 1 << 15
 
 
-def min_cut_leq(g: Graph, a: int, b: int, k: int) -> bool:
-    """True iff the minimum edge cut separating vertex sets a and b is <= k.
-
-    a and b are disjoint vertex masks.  Unit capacities in both directions,
-    contracted super-source/super-sink, giving up as soon as k+1 augmenting
-    paths exist.  Everything is a bitmask over ``g.rows``: bit v of
-    ``out[u]`` is set while u sends a unit to v, which saturates the arc
-    u->v, and each path comes from a breadth-first search whose layers are
-    masks.  Empty a or b cuts nothing, so always True.
-
-    No enumeration calls it any more; it stays because the benchmark's
-    tracer, ``bench/spans.py``, patches it by name.
-    """
-    if a & b or (a | b) >> g.n:  # a negative mask shifts to nonzero too
-        raise ValueError("sides must be disjoint vertex masks of g")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if a == 0 or b == 0:
-        return True
-    rows = g.rows
-    out = [0] * g.n
-    for _ in range(k + 1):
-        layers = [a]
-        seen = frontier = a
-        while not frontier & b:
-            reach = 0
-            for u in bits(frontier):
-                reach |= rows[u] & ~out[u]
-            frontier = reach & ~seen
-            if not frontier:
-                return True  # max flow == paths found so far <= k
-            seen |= frontier
-            layers.append(frontier)
-        # back-trace from the lowest reached b-vertex through the layers
-        v = (frontier & b & -(frontier & b)).bit_length() - 1
-        for layer in reversed(layers[:-1]):
-            u = next(u for u in bits(layer & rows[v]) if not out[u] >> v & 1)
-            if out[v] >> u & 1:
-                out[v] ^= 1 << u  # cancel the unit v sends back to u
-            else:
-                out[u] |= 1 << v
-            v = u
-    return False
+# no enumeration runs a max-flow test since the join lists every cut;
+# bench/spans.py patches the name
+min_cut_leq = _retired
 
 
 # the masks 0 .. 255, shared by every table build, which ANDs slices of

@@ -49,7 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# connected_components is not used here; bench/spans.py patches it by name
+# connected_components is graph's retired stub, imported only because
+# bench/spans.py patches it by name here
 from .graph import (Clustering, Graph, bits, clique_component_masks,
                     connected_components, induced_subgraph)
 

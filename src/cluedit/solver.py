@@ -119,7 +119,8 @@ import numpy as np
 # edges_inside_table is not used here; bench/spans.py patches it by name
 from .cuts import (CutIndex, _keys, _lowest, _mask, _sizes, cut_count_bound,
                    edges_inside_table, enumerate_k_cuts)
-# connected_components is not used here; bench/spans.py patches it by name
+# connected_components is graph's retired stub, imported only because
+# bench/spans.py patches it by name here
 from .graph import (Clustering, Graph, bits, clustering_to_edit_set,
                     connected_components)
 from .preprocess import (Instance, PreprocessOutcome, early_no,

@@ -9,12 +9,12 @@ the package, except two replays of a package routine by a second route:
 on the package's graph primitives, so the one-pass ``preprocess`` is
 compared against the rules as stated, and ``at_most_by_exact_loop`` answers
 at-most mode with one exact-mode solve per cluster count.
-``min_cut_leq_dict`` is the max-flow test on a pair-keyed dict residual
-network that the bitmask ``cuts.min_cut_leq`` replaced, and
-``verify_solution_components`` is the component-scan certificate check
-that ``solver.verify_solution`` replaced with one graph comparison, and
-``clique_components_bfs`` is the breadth-first clique-component test that
-``graph.clique_component_masks`` replaced with one hash per closed row.
+``connected_components`` is the breadth-first search that
+``graph`` shipped until no solve ran it; ``clique_components_bfs``, the
+clique-component test that ``graph.clique_component_masks`` replaced with
+one hash per closed row, ``is_cluster_graph_bfs`` and
+``verify_solution_components``, the component-scan certificate check that
+``solver.verify_solution`` replaced with one graph comparison, build on it.
 ``chain_optima`` is the DP over every nested pair of cuts, so over every
 cluster order, that the solver's one canonical chain per clustering
 replaced, and ``dp_reference`` is the solver's canonical-chain DP on
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter, deque
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -40,7 +40,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from cluedit.cuts import CutIndex
 from cluedit.graph import (Clustering, Graph, apply_edits, bits,
-                           connected_components, induced_subgraph)
+                           induced_subgraph)
 from cluedit.preprocess import _TRIPLES, Instance, PreprocessOutcome
 from cluedit.solver import Solution, SolveResult, SolveStats, solve_exact_p
 
@@ -110,6 +110,26 @@ def best_cost(n, edges, p, mode="exact"):
 
 # ---------------------------------------------------------------------------
 # clique components by breadth-first search
+
+def connected_components(g: Graph) -> list[int]:
+    """Component vertex masks, ordered by smallest contained vertex id."""
+    seen = 0
+    out = []
+    for v in range(g.n):
+        if seen >> v & 1:
+            continue
+        comp = 1 << v
+        frontier = comp
+        while frontier:
+            grow = 0
+            for u in bits(frontier):
+                grow |= g.rows[u]
+            frontier = grow & ~comp
+            comp |= grow
+        out.append(comp)
+        seen |= comp
+    return out
+
 
 def clique_components_bfs(g: Graph) -> list[int]:
     """Masks of the connected components whose every vertex is adjacent to
@@ -324,15 +344,6 @@ def ordered_cuts(n, edges, k: int):
             if (c := crossing_count(n, edges, m)) <= k]
 
 
-def min_cut(n, edges, s_mask: int, t_mask: int) -> int:
-    """Minimum crossing over bipartitions with s_mask inside, t_mask outside."""
-    best = math.inf
-    for m in range(1 << n):
-        if m & s_mask == s_mask and m & t_mask == 0:
-            best = min(best, crossing_count(n, edges, m))
-    return best
-
-
 def arc_cost(g: Graph, v1: int, v1p: int) -> int:
     """Cost of growing side-1 from v1 to v1p: edges cut off from v1 plus
     missing edges inside the new cluster v1p - v1."""
@@ -433,51 +444,6 @@ def dp_reference(g: Graph, cuts: CutIndex, p: int, k: int,
         chain.append(layer[chain[-1]][1])
     chain.reverse()
     return chain
-
-
-def min_cut_leq_dict(g: Graph, a: int, b: int, k: int) -> bool:
-    """True iff the minimum edge cut separating vertex sets a and b is <= k.
-
-    The dict-based max-flow that ``cuts.min_cut_leq`` replaced, kept as its
-    reference: residual flow in a dict keyed by vertex pairs, BFS over a
-    deque, one edge at a time.
-    """
-    if a & b:
-        raise ValueError("sides overlap")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if a == 0 or b == 0:
-        return True
-    flow: dict[tuple[int, int], int] = {}
-    found = 0
-    while found <= k:
-        # BFS in the residual network from every a-vertex at once
-        parent: dict[int, int] = {v: -1 for v in bits(a)}
-        queue = deque(parent)
-        reached = -1
-        while queue:
-            u = queue.popleft()
-            for v in bits(g.rows[u]):
-                if v in parent or a >> v & 1:
-                    continue
-                if flow.get((u, v), 0) >= 1:
-                    continue
-                parent[v] = u
-                if b >> v & 1:
-                    reached = v
-                    queue.clear()
-                    break
-                queue.append(v)
-        if reached < 0:
-            return True  # max flow == found <= k
-        v = reached
-        while parent[v] != -1:
-            u = parent[v]
-            flow[(u, v)] = flow.get((u, v), 0) + 1
-            flow[(v, u)] = flow.get((v, u), 0) - 1
-            v = u
-        found += 1
-    return False
 
 
 def leq_pow2_sqrt(value: int, coeff: int, q: int) -> bool:

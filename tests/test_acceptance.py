@@ -145,7 +145,7 @@ def _draw_reducible_k2(rng: random.Random):
     return g, c1 + 8, 2, 12
 
 
-@criterion(2, "preprocessing preserves answers and shrinks p below 6k")
+@criterion(2, "preprocessing preserves answers and shrinks p to at most 6k")
 def test_criterion_2_preprocess_equivalence():
     t0 = time.perf_counter()
     rng = random.Random(202)

@@ -10,11 +10,13 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import cluedit
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+PACKAGE = Path(cluedit.__file__).resolve().parent
 
 
 def test_span_targets_resolve():
@@ -68,3 +70,29 @@ def test_bench_scripts_cluedit_names_resolve():
             "cluedit.solver.verify_solution", "cluedit.solver.result_to_dict",
             "cluedit.preprocess.Instance",
             "cluedit.cuts.enumerate_k_cuts"} <= seen
+
+
+def test_retired_stubs_are_only_span_targets():
+    # a name bound to graph._retired stays only while bench/spans.py
+    # patches it, and no code in the package calls it
+    spec = importlib.util.spec_from_file_location("bench_spans",
+                                                  BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = {(mod.__name__, attr) for mod, attr, _, _ in spans.TARGETS}
+    stubs = set()
+    for info in pkgutil.iter_modules(cluedit.__path__):
+        module = importlib.import_module(f"cluedit.{info.name}")
+        stubs |= {(module.__name__, name)
+                  for name, value in vars(module).items()
+                  if value is cluedit.graph._retired and name != "_retired"}
+    assert stubs <= targets, stubs - targets
+    retired = {name for _, name in stubs} | {"_retired"}
+    assert retired == {"connected_components", "min_cut_leq", "_retired"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else (
+                    getattr(func, "id", None))
+                assert name not in retired, (path.name, node.lineno)

@@ -1,4 +1,4 @@
-"""Ordered k-cut enumeration, the max-flow test and the counting bounds."""
+"""Ordered k-cut enumeration and the counting bounds."""
 from __future__ import annotations
 
 import itertools
@@ -9,11 +9,9 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import mask_of
 from cluedit import (Graph, cut_count_bound, edges_inside_table,
                      enumerate_k_cuts)
 from cluedit import cuts
-from cluedit.cuts import min_cut_leq
 
 
 def triangle() -> Graph:
@@ -214,39 +212,6 @@ def test_cap_abort_and_argument_guards():
         enumerate_k_cuts(triangle(), -1)
 
 
-def test_min_cut_leq_matches_brute_force():
-    rng = random.Random(59)
-    for _ in range(40):
-        n = rng.randint(2, 9)
-        edges = oracles.random_edges(rng, n, rng.uniform(0.1, 0.7))
-        g = Graph.from_edges(n, edges)
-        vs = rng.sample(range(n), rng.randint(2, min(4, n)))
-        half = len(vs) // 2 or 1
-        a, b = mask_of(vs[:half]), mask_of(vs[half:])
-        true_cut = oracles.min_cut(n, edges, a, b)
-        for k in range(0, 7):
-            assert min_cut_leq(g, a, b, k) == (true_cut <= k)
-
-
-def test_min_cut_leq_matches_dict_reference():
-    # 17-60 vertices: beyond the 2^n brute force, so the bitmask flow is
-    # compared with the dict-based max-flow it replaced
-    rng = random.Random(67)
-    answers = set()
-    for _ in range(60):
-        n = rng.randint(17, 60)
-        density = rng.choice((0.04, 0.08, 0.15, 0.3, 0.6))
-        g = Graph.from_edges(n, oracles.random_edges(rng, n, density))
-        vs = rng.sample(range(n), rng.randint(1, 8) + rng.randint(1, 8))
-        half = rng.randint(1, len(vs) - 1)
-        a, b = mask_of(vs[:half]), mask_of(vs[half:])
-        for k in range(13):
-            got = min_cut_leq(g, a, b, k)
-            assert got == oracles.min_cut_leq_dict(g, a, b, k)
-            answers.add(got)
-    assert answers == {True, False}
-
-
 def test_two_bridged_cliques_have_four_cuts():
     # two 100-cliques joined by one edge: with k = 1 only the trivial cuts
     # and the two sides of the bridge survive the joins
@@ -258,20 +223,6 @@ def test_two_bridged_cliques_have_four_cuts():
     a = (1 << side) - 1
     assert oracles.cut_masks(index) == [0, a, a << side, (1 << 2 * side) - 1]
     assert index.crossing_counts.tolist() == [0, 1, 1, 0]
-
-
-def test_min_cut_leq_disconnected_sides():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert min_cut_leq(g, mask_of([0]), mask_of([2]), 0)
-    assert not min_cut_leq(triangle(), mask_of([0]), mask_of([2]), 1)
-
-
-def test_min_cut_leq_rejects_sides_outside_the_graph():
-    path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    for a, b in ((1, 1 << 5), (1 << 5, 1), (1, -4), (-1, 4), (1, 1)):
-        for k in (0, 1):
-            with pytest.raises(ValueError, match="disjoint vertex masks"):
-                min_cut_leq(path, a, b, k)
 
 
 def _planted(rng, n, p, t):

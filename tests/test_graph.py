@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import mask_of
+from oracles import connected_components, mask_of
 from cluedit import (Clustering, Graph, apply_edits, cluster_graph_of,
-                     clustering_to_edit_set, connected_components,
-                     format_graph, induced_subgraph, is_cluster_graph,
-                     parse_graph, write_graph)
+                     clustering_to_edit_set, format_graph, induced_subgraph,
+                     is_cluster_graph, parse_graph, write_graph)
 import cluedit.graph as graph_module
 from cluedit.graph import MAX_PARSE_VERTICES, bits, clique_component_masks
 

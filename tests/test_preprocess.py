@@ -361,6 +361,25 @@ def test_early_no_skips_centres_past_the_triple_budget():
     assert time.perf_counter() - start < 0.5
 
 
+def test_early_no_takes_a_centre_that_exactly_fills_the_triple_budget():
+    # a star of 8 leaves, a 362-clique and a star of 33 leaves: the class
+    # centres with neighbour pairs, the stars' centres and the clique's
+    # first vertex, hold 28 + 64980 + 528 = 2^16 of them, so the last star
+    # leaves no room.  The stars pack 4 and 16 disjoint triples and the
+    # clique none, so at k = 19 that last centre completes the proof
+    stars = [(0, range(1, 9)), (371, range(372, 405))]
+    edges = [(c, v) for c, leaves in stars for v in leaves]
+    g = Graph.from_edges(405, edges + list(itertools.combinations(
+        range(9, 371), 2)))
+    assert sum(math.comb(g.rows[w].bit_count(), 2)
+               for w in (0, 9, 371)) == preprocess_module._TRIPLES
+    # 44 classes, exactly 2k + p
+    proof = preprocess_module.early_no(g, 6, 19)
+    assert proof == oracles.early_no_reference(g, 6, 19)
+    assert proof[0] == "conflict_triples" and len(proof[1]) == 20
+    assert sum(w == 371 for _, w, _ in proof[1]) == 16
+
+
 def test_early_no_packs_in_its_documented_order():
     # the whole return value, reason and packing in order, is the one its
     # docstring spells out: on criterion 1's graphs, on seeded graphs of up
