@@ -1,21 +1,30 @@
 """Graphs, clusterings and edit sets for cluster editing.
 
-Vertices are 0..n-1.  A graph is its rows, one arbitrary-precision
-bitmask per vertex; membership tests, symmetric difference and the
-clique-component test are all bit operations, which keeps even reduction
-outputs with millions of edges workable.  Edge sets are never materialized
-wholesale: ``edges()`` iterates, and ``n`` and ``m`` are derived from the
-rows (their count and half their popcount).
+Vertices are 0..n-1.  A graph has two forms, and each is derived from the
+other once, on first use.  Its rows are one arbitrary-precision bitmask
+per vertex, n bits wide, so a row costs O(n/64) words whatever its
+degree: membership tests, symmetric difference and the cut and DP stages
+are bit operations on them, which suits the small kernels the solver
+works on and the dense reduction outputs.  Its keys are the ascending
+int64 array of u·n + v over its edges uv with u < v, O(n + m) words.
+
+Each stage reads one form.  The bulk reader gives keys, and the clique
+scan of the reduction rules (`clique_components`), the kernel extraction
+(`induced_subgraph`) and the solver's certificate check read keys, so a
+large input on which the rules leave a small kernel is solved in O(n + m)
+time and memory, with rows built only for the kernel.  `from_edges` and
+`apply_edits` build rows, and the cut enumeration, the early NO check and
+the DP read them.
 
 An edit set F is itself a `Graph` on the same vertices, whose edges are the
 pairs to toggle: the edited graph is G xor F (`apply_edits`) and the cost
 is F.m.
 
 The text format has two readers.  The canonical text that `format_graph`
-writes is read in bulk with numpy once it is a kilobyte or longer, and
-each of its rows is built once by ``int.from_bytes`` rather than rewritten
-once per edge; every other text, and every text that breaks a rule, goes
-to the line reader, which alone raises, so each error names its line.
+writes is read in bulk with numpy once it is a kilobyte or longer, into
+keys; every other text, and every text that breaks a rule, goes to the
+line reader, which builds rows, and the keys beside them, and alone
+raises, so each error names its line.
 """
 from __future__ import annotations
 
@@ -41,23 +50,70 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1.
+    """Simple undirected graph on vertices 0..n-1, held in one or both of
+    two forms.
 
-    ``rows[v]`` is the open-neighbourhood bitmask of v, and n and m are
-    read off the rows.  Instances are immutable; edit operations return
-    new graphs.
+    ``rows[v]`` is the open-neighbourhood bitmask of v.  ``keys`` is the
+    ascending int64 array of u·n + v over the edges uv with u < v.  A graph
+    is built from either, by ``Graph(rows)`` or ``Graph.from_keys(n,
+    keys)``, and the other form is derived from it once, on first use.
+    n, m, edges(), has_edge and == read whichever form exists, and two
+    graphs are equal when they have the same n and the same edges.
+    Instances are immutable; edit operations return new graphs.
     """
 
-    rows: tuple[int, ...]
+    n: int
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    def __init__(self, rows: tuple[int, ...],
+                 keys: np.ndarray | None = None) -> None:
+        # keys, when given, must be the rows' own, as the line reader
+        # finds them
+        vars(self).update(n=len(rows), rows=rows)
+        if keys is not None:
+            vars(self)["keys"] = keys
+
+    @staticmethod
+    def from_keys(n: int, keys: np.ndarray) -> "Graph":
+        """The graph on 0..n-1 whose edges have the ascending keys u·n + v,
+        u < v; the caller vouches for them."""
+        g = Graph.__new__(Graph)
+        vars(g).update(n=n, keys=keys)
+        return g
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def _holds(self, form: str) -> bool:
+        return form in vars(self)
+
+    @functools.cached_property
+    def rows(self) -> tuple[int, ...]:
+        return _rows_of_keys(self.n, self.keys)
+
+    @functools.cached_property
+    def keys(self) -> np.ndarray:
+        """The edge keys; ValueError when the rows are no simple graph on
+        0..n-1: a bit without its mirror, a self-loop or a bit past n."""
+        n, rows = self.n, self.rows
+
+        def mirrored():
+            for u, v in _row_edges(rows):
+                if v >= n or not rows[v] >> u & 1:
+                    raise ValueError(f"row {u} holds {v} without its mirror")
+                yield u * n + v
+
+        keys = np.fromiter(mirrored(), np.int64)
+        # each pair above the diagonal has its mirror below it, so any
+        # further bit lies on the diagonal or below it without a mirror
+        if 2 * len(keys) != sum(map(int.bit_count, rows)):
+            raise ValueError("rows hold a self-loop or an unmirrored bit")
+        return keys
 
     @property
     def m(self) -> int:
+        if self._holds("keys"):
+            return len(self.keys)
         return sum(map(int.bit_count, self.rows)) // 2
 
     @staticmethod
@@ -77,27 +133,53 @@ class Graph:
         return Graph((0,) * n)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
+        if self._holds("rows"):
+            return bool(self.rows[u] >> v & 1)
+        # a binary search for the key; u == v has none
+        key = min(u, v) * self.n + max(u, v)
+        at = int(self.keys.searchsorted(key))
+        return u != v and at < len(self.keys) and int(self.keys[at]) == key
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield edges as (u, v) with u < v, lexicographically.
+        """Yield edges as (u, v) with u < v, lexicographically."""
+        if self._holds("keys"):
+            u, v = np.divmod(self.keys, self.n)
+            return zip(u.tolist(), v.tolist())
+        return _row_edges(self.rows)
 
-        Each row with a higher neighbour is read once, as a binary string
-        searched for its ones, so a row costs its width and not its width
-        per set bit.
-        """
-        for u, row in enumerate(self.rows):
-            above = row >> (u + 1)
-            if not above:
-                continue
-            text = f"{above:b}"[::-1]
-            i = text.find("1")
-            while i >= 0:
-                yield (u, u + 1 + i)
-                i = text.find("1", i + 1)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        if self._holds("rows") and other._holds("rows"):
+            return self.rows == other.rows
+        return self.n == other.n and np.array_equal(self.keys, other.keys)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n}, m={self.m})"
+
+
+def _row_edges(rows: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """The edges of *rows*, each from its lower end, lexicographically.
+
+    Each row with a higher neighbour is read once, as a binary string
+    searched for its ones, so a row costs its width and not its width per
+    set bit.
+    """
+    for u, row in enumerate(rows):
+        above = row >> (u + 1)
+        if not above:
+            continue
+        text = f"{above:b}"[::-1]
+        i = text.find("1")
+        while i >= 0:
+            yield (u, u + 1 + i)
+            i = text.find("1", i + 1)
 
 
 @dataclass(frozen=True)
@@ -165,28 +247,45 @@ def _retired(*args, **kwargs):
 
 
 # no solve runs a breadth-first search (the clique components come from
-# clique_component_masks); bench/spans.py patches the name
+# clique_components); bench/spans.py patches the name
 connected_components = _retired
 
 
-def clique_component_masks(g: Graph) -> dict[int, list[int]]:
-    """The components of g that are cliques, by smallest vertex: each
-    component's mask maps to its vertices in ascending order.
+def clique_components(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The clique components of g, read off its keys: (heads, sizes).
 
-    A closed row R = rows[v] | 1 << v contains v, and R is a clique
-    component iff every vertex of R, and no other, has closed row R: so iff
-    exactly |R| vertices have it.  One hash per row groups the vertices by
-    closed row, and the dict keeps each row at its first, smallest, vertex.
+    heads holds the smallest vertex of each clique component, ascending,
+    and sizes its vertex count.  A component is its head and the head's
+    neighbours.
+
+    Let label(v) = min N[v], the least of v and its neighbours, and S_L
+    the set of vertices labelled L.  S_L is a clique component iff
+    label(L) = L, |S_L| = deg(L) + 1, and no edge at S_L joins two vertices
+    that differ in label or in degree.  If: each x != L in S_L is adjacent
+    to L, so deg(x) = deg(L); every neighbour of x, and of L, is labelled
+    L, and S_L - x has only deg(L) vertices, so N(x) = S_L - x.  Only if:
+    every vertex of a clique component C has closed neighbourhood C, so
+    all of C is labelled min C and has degree |C| - 1, and no edge leaves
+    C.  The labels take one ``np.minimum.at``, and the whole scan O(n + m).
     """
-    members: dict[int, list[int]] = {}
-    for v, row in enumerate(g.rows):
-        members.setdefault(row | 1 << v, []).append(v)
-    return {r: vs for r, vs in members.items() if len(vs) == r.bit_count()}
+    n = g.n
+    low, high = np.divmod(g.keys, n)
+    label = np.arange(n)
+    # low < high, so an edge can lower the label of its higher end only
+    np.minimum.at(label, high, low)
+    degree = np.bincount(low, minlength=n) + np.bincount(high, minlength=n)
+    size = np.bincount(label, minlength=n)
+    odd = (label[low] != label[high]) | (degree[low] != degree[high])
+    spoilt = np.zeros(n, bool)
+    spoilt[label[low[odd]]] = spoilt[label[high[odd]]] = True
+    heads = np.flatnonzero((label == np.arange(n)) & (size == degree + 1)
+                           & ~spoilt)
+    return heads, size[heads]
 
 
 def is_cluster_graph(g: Graph) -> bool:
     """True iff every connected component induces a clique (no induced P3)."""
-    return sum(map(int.bit_count, clique_component_masks(g))) == g.n
+    return int(clique_components(g)[1].sum()) == g.n
 
 
 def apply_edits(g: Graph, edits: Graph) -> Graph:
@@ -212,17 +311,19 @@ def clustering_to_edit_set(g: Graph, cl: Clustering) -> Graph:
     return apply_edits(g, cluster_graph_of(g.n, cl))
 
 
-def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the vertex mask *keep*, with new -> old id map."""
-    old = list(bits(keep))
-    new_of = {o: i for i, o in enumerate(old)}
-    rows = []
-    for o in old:
-        row = 0
-        for u in bits(g.rows[o] & keep):
-            row |= 1 << new_of[u]
-        rows.append(row)
-    return Graph(tuple(rows)), tuple(old)
+def induced_subgraph(g: Graph, keep) -> tuple[Graph, tuple[int, ...]]:
+    """Induced subgraph on the ascending vertex ids *keep*, in key form,
+    with its new -> old id map.  Read off g's keys: the renumbering keeps
+    the order of ids, and so of keys."""
+    keep = np.asarray(keep, dtype=np.int64)
+    size = len(keep)
+    new_of = np.full(g.n, -1, np.int64)
+    new_of[keep] = np.arange(size)
+    low, high = np.divmod(g.keys, g.n)
+    low, high = new_of[low], new_of[high]
+    inside = (low >= 0) & (high >= 0)
+    return (Graph.from_keys(size, low[inside] * size + high[inside]),
+            tuple(keep.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +371,16 @@ _NONCANONICAL_LINE = re.compile(r"\n(?!e [0-9]{1,8} [0-9]{1,8}\n|\Z)")
 
 
 def _parse_canonical(text: str) -> Graph | None:
-    """The graph of a canonical text, or None to leave it to _parse_lines.
+    """The graph of a canonical text, in key form, or None to leave the
+    text to _parse_lines.
 
-    Two regex scans, one numpy conversion of the 2m ids, vectorised checks,
-    then each non-isolated row once, by one ``int.from_bytes`` and a shift,
-    from a byte buffer that holds the row from its lowest neighbour's byte
-    to its highest's.  The buffer is built for a block of rows at a time,
-    so besides the finished rows the reader takes O(n + m) words and a
-    buffer, with its one copy, of at most _ROW_BLOCK_BYTES bytes or one row.
-    None also when the text breaks a rule the line reader enforces: an
-    edge count other than the header's, too many vertices, an id out of
-    range, a self-loop or a repeated edge.
+    Two regex scans, one numpy conversion of the 2m ids, and one sort of
+    the m keys, on which a self-loop or a repeated edge, in either
+    direction, is a key twice or one with equal ends: O(n + m) words and,
+    apart from the sort, time, with no row built.  None also when the text
+    breaks a rule the line reader enforces: an edge count other than the
+    header's, too many vertices, an id out of range, a self-loop or a
+    repeated edge.
     """
     hit = _CANONICAL_HEADER.match(text)
     if hit is None:
@@ -294,19 +394,45 @@ def _parse_canonical(text: str) -> Graph | None:
     ends = np.fromstring(text[body:].replace("e", ""), dtype=np.int32, sep=" ")
     if len(ends) != 2 * m:
         return None
-    if not m:
-        return Graph.empty(n)
     ends -= 1
-    if ends.min() < 0 or ends.max() >= n:
+    if m and (ends.min() < 0 or ends.max() >= n):
         return None
-    u, v = ends[0::2], ends[1::2]
+    u, v = ends[0::2].astype(np.int64), ends[1::2]
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    keys.sort()
+    if (u == v).any() or (keys[1:] == keys[:-1]).any():
+        return None
+    return Graph.from_keys(n, keys)
+
+
+def _rows_of_keys(n: int, keys: np.ndarray) -> tuple[int, ...]:
+    """The rows of the graph on 0..n-1 with edge keys *keys*.
+
+    Up to _LOOP_EDGES edges, as on a kernel or a small input, the rows are
+    built one edge at a time.  Beyond, each non-isolated row is built once,
+    by one ``int.from_bytes`` and a shift, from a byte buffer that holds
+    the row from its lowest neighbour's byte to its highest's.  The buffer
+    is built for a block of rows at a time, so besides the finished rows
+    this takes O(n + m) words and a buffer, with its one copy, of at most
+    _ROW_BLOCK_BYTES bytes or one row.
+    """
+    if len(keys) <= _LOOP_EDGES:
+        rows = [0] * n
+        for u, v in zip(*(x.tolist() for x in np.divmod(keys, n))):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return tuple(rows)
+    # ids in int32, which holds every n the readers admit, so that the sort
+    # and the blocks move half the bytes
+    u, v = (x.astype(np.int32) for x in np.divmod(keys, n))
     # each edge once from either end, grouped by the row it sets a bit in
     src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+    del u, v
     order = np.argsort(src)
     src, dst = src[order], dst[order]
     # each edge array is dropped once used, so the blocks below run beside
-    # 9 bytes per edge end, not 30
-    del ends, u, v, order
+    # 9 bytes per edge end, those of at and bit
+    del order
     first = np.flatnonzero(np.diff(src, prepend=-1))  # each live row's start
     live = src[first].tolist()
     first = np.append(first, len(src))
@@ -337,20 +463,24 @@ def _parse_canonical(text: str) -> Graph | None:
                                     (low[a:b] << 3).tolist()):
             rows[w] = from_bytes(raw[lo:hi], "little") << shift
         a = b
-    g = Graph(tuple(rows))
-    # a repeated edge sets no new bit and a self-loop one, so the rows'
-    # popcount falls short of 2m
-    return g if g.m == m else None
+    return tuple(rows)
 
 
-# byte buffer that _parse_canonical fills per block of rows
+# byte buffer that _rows_of_keys fills per block of rows
 _ROW_BLOCK_BYTES = 1 << 18
+
+# the edge count up to which _rows_of_keys sets bits one edge at a time: the
+# block builder's few dozen numpy calls cost about 43 us on a 14-vertex
+# kernel that the loop builds in 5.5 us, and the two break even at some
+# 500-1000 edges on sparse graphs of 100-1000 vertices
+_LOOP_EDGES = 512
 
 
 def _parse_lines(text: str) -> Graph:
     """Read *text* line by line, raising ValueError at the first fault."""
     n = m = None
     rows: list[int] = []
+    keys: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -387,11 +517,13 @@ def _parse_lines(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: duplicate edge {line!r}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
+            keys.append(u * n + v if u < v else v * n + u)
         else:
             raise ValueError(f"line {lineno}: unknown record {line!r}")
     if n is None:
         raise ValueError("missing header")
-    g = Graph(tuple(rows))
+    keys.sort()
+    g = Graph(tuple(rows), np.array(keys, np.int64))
     if g.m != m:
         raise ValueError(f"header claims {m} edges, found {g.m}")
     return g

@@ -25,13 +25,16 @@ Applied one at a time, with Rule 3 before Rule 2, the rules need no
 re-scan of the graph: each deletion removes one clique component and lowers
 p by one, and no deletion makes a new clique component.  So the number of
 clique components minus p never changes and Rule 1 needs checking only
-once, on entry.  The deletions are then fixed by one pass over the clique
-components (`clique_component_masks`, one OR and one hash per row, which
-also lists each component's vertices): the nontrivial cliques from largest
-to smallest, then the isolated vertices by id, each rule for as long as its
-2k+1 threshold and p' > 6k allow.  One ``induced_subgraph`` builds the
-kernel.  Apart from sorting the cliques by size this is O(n + m) row
-operations.
+once, on entry.  The deletions are then fixed by one scan of the clique
+components over the graph's keys (`clique_components`, which labels each
+vertex by the least vertex of its closed neighbourhood): the nontrivial
+cliques from largest to smallest, ties by smallest vertex, then the
+isolated vertices by id, each rule for as long as its 2k+1 threshold and
+p' > 6k allow.  One ``induced_subgraph``, also over the keys, builds the
+kernel, whose bitmask rows, as wide as the kernel, are built when
+`early_no` first reads them.  Apart from sorting the cliques by size this
+is O(n + m) time and memory, and the input's own n-bit rows are never
+read.
 
 `early_no` runs on the kernel, after the rules.  It proves NO without
 listing cuts, from more than 2k + p' closed-twin classes or from k + 1
@@ -49,9 +52,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 # connected_components is graph's retired stub, imported only because
 # bench/spans.py patches it by name here
-from .graph import (Clustering, Graph, bits, clique_component_masks,
+from .graph import (Clustering, Graph, bits, clique_components,
                     connected_components, induced_subgraph)
 
 
@@ -111,27 +116,42 @@ def preprocess(inst: Instance) -> PreprocessOutcome:
     order the rules take them one at a time.
     """
     g, p, k, mode = inst.g, inst.p, inst.k, inst.mode
-    identity = tuple(range(g.n))
-    full = keep = (1 << g.n) - 1
     removed: list[tuple[str, tuple[int, ...]]] = []
+    vmap = None
     if p > 6 * k:
-        cliques = clique_component_masks(g)
-        if mode == "exact" and len(cliques) < p - 2 * k:
-            return PreprocessOutcome("rule1", None, identity, [])
-        # largest first; the stable sort keeps ties in component order
-        nontrivial = sorted((c for c in cliques if c.bit_count() > 1),
-                            key=int.bit_count, reverse=True)
-        singletons = [c for c in cliques if c.bit_count() == 1]
-        for rule, pool in (("rule3", nontrivial), ("rule2", singletons)):
+        heads, sizes = clique_components(g)
+        if mode == "exact" and len(heads) < p - 2 * k:
+            return PreprocessOutcome("rule1", None, tuple(range(g.n)), [])
+        # the nontrivial cliques largest first, ties by smallest vertex,
+        # then the singletons by id: heads ascend and the sort is stable
+        order = np.argsort(-sizes, kind="stable")
+        nontrivial = int(np.count_nonzero(sizes > 1))
+        picked, rules = [], []
+        for rule, pool in (("rule3", order[:nontrivial]),
+                           ("rule2", order[nontrivial:])):
             fire = min(max(0, len(pool) - 2 * k), p - 6 * k)
-            for c in pool[:fire]:
-                removed.append((rule, tuple(cliques[c])))
-                keep ^= c
+            picked.append(pool[:fire])
+            rules += [rule] * fire
             p -= fire
-
-    vmap = identity
-    if keep != full:
-        g, vmap = induced_subgraph(g, keep)
+        if rules:
+            picked = np.concatenate(picked)
+            head, count = heads[picked], sizes[picked]
+            ends = np.cumsum(count)
+            # each component is its head, then the head's neighbours, which
+            # all lie above it: the run of keys from the head's first key
+            rank = np.arange(ends[-1]) - np.repeat(ends - count, count)
+            members = np.repeat(head, count)
+            tail = rank > 0
+            first = np.repeat(g.keys.searchsorted(head * g.n) - 1, count)
+            members[tail] = g.keys[first[tail] + rank[tail]] % g.n
+            flat, bounds = members.tolist(), ends.tolist()
+            removed = [(rule, tuple(flat[a:b])) for rule, a, b
+                       in zip(rules, [0] + bounds, bounds)]
+            keep = np.ones(g.n, bool)
+            keep[members] = False
+            g, vmap = induced_subgraph(g, np.flatnonzero(keep))
+    if vmap is None:
+        vmap = tuple(range(g.n))
     if p > g.n:
         if mode == "exact":
             return PreprocessOutcome("p_exceeds_n", None, vmap, removed)

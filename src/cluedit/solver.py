@@ -323,14 +323,12 @@ def _finish(inst: Instance, outcome: PreprocessOutcome, reduced_cl: Clustering,
             stats: SolveStats) -> SolveResult:
     cl = lift_clustering(outcome, reduced_cl, inst.g.n)
     # the removed components are clusters as they stand, so every edit lies
-    # in the kernel: its edit set, taken to the input through vertex_map
+    # in the kernel: its edit set, taken to the input through vertex_map,
+    # which ascends and so keeps the keys' order
     kernel_edits = clustering_to_edit_set(outcome.instance.g, reduced_cl)
-    vmap = outcome.vertex_map
-    rows = [0] * inst.g.n
-    for v, row in enumerate(kernel_edits.rows):
-        for u in bits(row):
-            rows[vmap[v]] |= 1 << vmap[u]
-    edits = Graph(tuple(rows))
+    vmap, n = outcome.vertex_map, inst.g.n
+    edits = Graph.from_keys(n, np.array(
+        [vmap[u] * n + vmap[v] for u, v in kernel_edits.edges()], np.int64))
     sol = Solution(cl, edits, edits.m)
     if not verify_solution(inst, sol):
         raise AssertionError("internal error: solver produced a bad solution")
@@ -340,23 +338,48 @@ def _finish(inst: Instance, outcome: PreprocessOutcome, reduced_cl: Clustering,
 def verify_solution(inst: Instance, sol: Solution) -> bool:
     """Recheck a solution from scratch; independent of solver internals.
 
-    The edited graph is the clustering's cluster graph iff the edited row
-    of each vertex v, ``g.rows[v] ^ edits.rows[v]``, is the mask of v's
-    cluster without v.  The check reads the assignment alone and builds no
-    second graph.
+    Over the keys of the input G and of the edit set F, with the
+    assignment alone, in O(n + m + |F| log m).  F must be a simple graph on
+    G's vertices: ascending keys of pairs u < v in 0..n-1, and, if it came
+    as rows, rows with no bit besides the two of each such pair.  Each pair
+    of F that is an edge of G must join two clusters, a deletion, and each
+    other pair lie inside one, an addition.  Then the edited graph
+    H = G xor F has, inside the clusters, G's edges there and the
+    additions, at most as many as the clusters have pairs, and outside
+    them the c - d edges between clusters that the d deletions leave of
+    G's c.  So m - 2c + |F|, which is those inside edges less c - d,
+    equals the clusters' pair count iff H fills the clusters and has no
+    other edge: iff it is their cluster graph.
     """
-    assignment = sol.clustering.assignment
-    if len(assignment) != inst.g.n or sol.edits.n != inst.g.n:
+    g, n, cl = inst.g, inst.g.n, sol.clustering
+    if len(cl.assignment) != n or sol.edits.n != n:
         return False
     if sol.edits.m != sol.cost or sol.cost > inst.k:
         return False
-    masks = sol.clustering.cluster_masks()
-    if not all(row ^ edit == masks[a] ^ 1 << v for v, (row, edit, a)
-               in enumerate(zip(inst.g.rows, sol.edits.rows, assignment))):
+    if cl.c != inst.p and (inst.mode == "exact" or cl.c > inst.p):
         return False
-    if inst.mode == "exact":
-        return sol.clustering.c == inst.p
-    return sol.clustering.c <= inst.p
+    try:
+        edits = sol.edits.keys
+    except ValueError:
+        return False
+    if len(edits) and not 0 <= edits[0] <= edits[-1] < n * n:
+        return False
+    keys = g.keys
+    m = len(keys)
+    low, high = np.divmod(np.concatenate((keys, edits)), n)
+    if (np.count_nonzero(low[m:] >= high[m:])
+            or np.count_nonzero(edits[1:] <= edits[:-1])):
+        return False
+    cluster = np.array(cl.assignment, np.int64)
+    inside = cluster[low] == cluster[high]
+    # an edit deletes iff its key is one of G's
+    at = keys.searchsorted(edits)
+    deleted = keys.take(at, mode="clip") == edits if m else at < 0
+    if np.count_nonzero(inside[m:] == deleted):
+        return False
+    crossing = m - np.count_nonzero(inside[:m])
+    sizes = np.bincount(cluster)
+    return m - 2 * crossing + len(edits) == int(sizes @ (sizes - 1)) // 2
 
 
 def result_to_dict(res: SolveResult, g: Graph, base: int = 0) -> dict:

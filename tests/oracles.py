@@ -11,10 +11,11 @@ compared against the rules as stated, and ``at_most_by_exact_loop`` answers
 at-most mode with one exact-mode solve per cluster count.
 ``connected_components`` is the breadth-first search that
 ``graph`` shipped until no solve ran it; ``clique_components_bfs``, the
-clique-component test that ``graph.clique_component_masks`` replaced with
-one hash per closed row, ``is_cluster_graph_bfs`` and
+clique-component test that ``graph.clique_components`` replaced with a
+label scan over the edge keys, ``is_cluster_graph_bfs`` and
 ``verify_solution_components``, the component-scan certificate check that
-``solver.verify_solution`` replaced with one graph comparison, build on it.
+``solver.verify_solution`` replaced with a check over the edge keys, build
+on it.
 ``chain_optima`` is the DP over every nested pair of cuts, so over every
 cluster order, that the solver's one canonical chain per clustering
 replaced, and ``dp_reference`` is the solver's canonical-chain DP on
@@ -196,7 +197,7 @@ def preprocess_stepwise(inst: Instance) -> PreprocessOutcome:
         nonlocal g, p, vmap
         removed.append((rule, tuple(vmap[v] for v in bits(mask))))
         full = (1 << g.n) - 1
-        g, submap = induced_subgraph(g, full ^ mask)
+        g, submap = induced_subgraph(g, list(bits(full ^ mask)))
         vmap = [vmap[o] for o in submap]
         p -= 1
 

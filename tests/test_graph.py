@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from cluedit import (Clustering, Graph, apply_edits, cluster_graph_of,
                      clustering_to_edit_set, format_graph, induced_subgraph,
                      is_cluster_graph, parse_graph, write_graph)
 import cluedit.graph as graph_module
-from cluedit.graph import MAX_PARSE_VERTICES, bits, clique_component_masks
+from cluedit.graph import MAX_PARSE_VERTICES, bits, clique_components
 
 
 def path3() -> Graph:
@@ -151,7 +152,7 @@ def test_cluster_graph_of_and_edit_set_agree_with_reference():
 
 def test_induced_subgraph():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 4), (3, 4)])
-    sub, old = induced_subgraph(g, mask_of([1, 2, 4]))
+    sub, old = induced_subgraph(g, [1, 2, 4])
     assert old == (1, 2, 4)
     assert (sub.n, sub.m) == (3, 2)
     assert list(sub.edges()) == [(0, 1), (1, 2)]
@@ -268,18 +269,62 @@ def _graph_or_message(parse, text):
 @given(damaged_canonical_texts(), st.sampled_from([1, 3, 1 << 18]))
 def test_bulk_and_line_readers_agree(case, block_bytes):
     # the bulk reader takes every text format_graph writes, and any graph it
-    # gives is the line reader's, whether its rows fit one block or take one
-    # block each; parse_graph, whichever reader it picks by length, gives
-    # the line reader's graph or error message
+    # gives is the line reader's, in its keys and in the rows the block
+    # builder makes from them, whether those fit one block or take one block
+    # each; parse_graph, whichever reader it picks by length, gives the line
+    # reader's graph or error message
     g, text, damage = case
-    with mock.patch.object(graph_module, "_ROW_BLOCK_BYTES", block_bytes):
-        bulk = graph_module._parse_canonical(text)
+    bulk = graph_module._parse_canonical(text)
     lines = _graph_or_message(graph_module._parse_lines, text)
     if damage is None:
         assert bulk == g
     if bulk is not None:
         assert bulk == lines
+        with mock.patch.multiple(graph_module, _ROW_BLOCK_BYTES=block_bytes,
+                                 _LOOP_EDGES=0):
+            assert bulk.rows == lines.rows
     assert _graph_or_message(parse_graph, text) == lines
+
+
+def _kilobyte_text(extra: str = "") -> tuple[Graph, str]:
+    """A random graph's canonical text of over a kilobyte, with one more
+    edge line, and the header's count, when *extra* is given."""
+    g = Graph.from_edges(60, oracles.random_edges(random.Random(8), 60, 0.1))
+    body = format_graph(g).split("\n", 1)[1]
+    text = f"p cep {g.n} {g.m + bool(extra)}\n" + body + extra
+    assert len(text) >= 1024
+    return g, text
+
+
+@pytest.mark.parametrize("line, message", [
+    ("e {v} {u}", "duplicate edge"),     # an edge written both ways
+    ("e 7 7", "vertex out of range"),    # a self-loop
+    ("e 1 61", "vertex out of range"),   # an id past n
+    ("e 0 5", "vertex out of range"),    # an id below 1
+])
+def test_bulk_reader_declines_kilobyte_texts_that_break_a_rule(line, message):
+    # the sorted keys show a pair written both ways, and the ends a loop or
+    # an id out of range: the bulk reader declines, and the line reader
+    # raises today's message with the line's number
+    g, _ = _kilobyte_text()
+    u, v = (x + 1 for x in next(g.edges()))
+    extra = line.format(u=u, v=v)
+    _, text = _kilobyte_text(extra + "\n")
+    assert graph_module._parse_canonical(text) is None
+    with pytest.raises(ValueError, match=f"line {g.m + 2}: {message}"):
+        parse_graph(text)
+
+
+def test_bulk_reader_keys_and_rows_match_the_line_reader():
+    # a kilobyte text read in bulk comes in key form; its keys and the rows
+    # built from them on first use are the line reader's
+    g, text = _kilobyte_text()
+    bulk, lines = graph_module._parse_canonical(text), graph_module._parse_lines(text)
+    assert "rows" not in vars(bulk)
+    assert bulk == lines == g and bulk.m == g.m
+    assert np.array_equal(bulk.keys, lines.keys)
+    assert bulk.rows == lines.rows == g.rows
+    assert parse_graph(text) == g
 
 
 def test_bulk_reader_memory_stays_near_its_rows():
@@ -292,7 +337,7 @@ def test_bulk_reader_memory_stays_near_its_rows():
     text = format_graph(g)
     tracemalloc.start()
     try:
-        assert graph_module._parse_canonical(text) == g
+        assert graph_module._parse_canonical(text).rows == g.rows
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -380,12 +425,42 @@ def near_cluster_graphs(draw):
     return Graph.from_edges(n, edges)
 
 
+def scanned_components(g: Graph) -> list[int]:
+    """The masks of g's clique components by `clique_components`: each
+    head with its neighbours, checked against the reported sizes."""
+    heads, sizes = clique_components(g)
+    masks = [1 << h | g.rows[h] for h in heads.tolist()]
+    assert [c.bit_count() for c in masks] == sizes.tolist()
+    return masks
+
+
 @settings(max_examples=300, deadline=None)
-@given(near_cluster_graphs())
-def test_clique_components_match_bfs_reference(g):
-    # the closed-row grouping finds the same components, in the same order,
-    # each with its vertices in ascending order
-    cliques = clique_component_masks(g)
-    assert list(cliques) == oracles.clique_components_bfs(g)
-    assert all(vs == list(bits(c)) for c, vs in cliques.items())
+@given(near_cluster_graphs(), st.booleans())
+def test_clique_components_match_bfs_reference(g, keyed):
+    # the label scan finds the same components in the same order, by
+    # smallest vertex, whether the graph was built from rows or from keys
+    if keyed:
+        g = Graph.from_keys(g.n, g.keys)
+    assert scanned_components(g) == oracles.clique_components_bfs(g)
     assert is_cluster_graph(g) == oracles.is_cluster_graph_bfs(g)
+
+
+@pytest.mark.parametrize("edges", [
+    # a pendant vertex on a clique's smallest vertex: all four are labelled
+    # 0 and there are deg(0) + 1 of them, but the pendant's degree differs
+    [(0, 1), (0, 2), (1, 2), (0, 3)],
+    # two equal-size cliques joined by one edge that misses both smallest
+    # vertices: {0, 1, 2} is labelled 0 and of size deg(0) + 1
+    [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (1, 4)],
+    # a vertex adjacent only to another clique's smallest vertex, below it:
+    # {0, 1} is labelled 0 and of size deg(0) + 1, and vertex 1 is no head
+    [(0, 1), (1, 2), (1, 3), (2, 3)],
+])
+def test_clique_scan_needs_more_than_labels(edges):
+    # none of these components is a clique, though each passes a test on
+    # labels and sizes alone; a true clique beside them is still found
+    n = max(map(max, edges)) + 1
+    g = Graph.from_edges(n + 2, edges + [(n, n + 1)])
+    assert scanned_components(g) == [1 << n | 1 << n + 1]
+    assert oracles.clique_components_bfs(g) == [1 << n | 1 << n + 1]
+    assert not is_cluster_graph(g)

@@ -13,7 +13,7 @@ import oracles
 from cluedit import (Clustering, Graph, Instance, is_cluster_graph,
                      apply_edits, oracle_best_cost, preprocess, lift_clustering,
                      solve_exact_p)
-from cluedit.graph import clique_component_masks
+from cluedit.graph import clique_components
 from oracles import (mask_of, preprocess_stepwise, rule1_rejects, rule2_target,
                      rule3_target)
 
@@ -36,14 +36,13 @@ def triangles(t):
     return Graph.from_edges(n, edges)
 
 
-def test_clique_component_masks():
+def test_clique_components():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4), (2, 4)])
-    # each component's mask and ascending vertices, by smallest vertex
-    assert list(clique_component_masks(g).items()) == [
-        (mask_of([0, 1]), [0, 1]), (mask_of([2, 3, 4]), [2, 3, 4]),
-        (mask_of([5]), [5])]
+    # each component's smallest vertex, ascending, and its size
+    heads, sizes = clique_components(g)
+    assert heads.tolist() == [0, 2, 5] and sizes.tolist() == [2, 3, 1]
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert clique_component_masks(path) == {}
+    assert clique_components(path)[0].tolist() == []
 
 
 def test_rule_targets():
@@ -243,6 +242,19 @@ def test_one_pass_matches_stepwise_rules():
     assert min(fired.values()) > 1000 and rejected > 100 and clamped > 100
 
 
+def test_rows_and_keys_preprocess_alike():
+    # the same graph built from rows and from keys gives the same outcome:
+    # reason, kernel, vertex map and removed components
+    rng = random.Random(31)
+    for _ in range(40):
+        g = random_clique_union(rng)
+        keyed = Graph.from_keys(g.n, g.keys)
+        for k, p, mode in itertools.product(
+                range(3), range(0, g.n + 4, 3), ("exact", "at_most")):
+            got = preprocess(Instance(keyed, p, k, mode))
+            assert got == preprocess(Instance(g, p, k, mode)), (g, p, k, mode)
+
+
 def test_one_component_pass_whatever_fires(monkeypatch):
     # one clique-component pass when the rules may fire (p > 6k), none
     # otherwise, no breadth-first search and at most one induced subgraph
@@ -254,9 +266,9 @@ def test_one_component_pass_whatever_fires(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(preprocess_module, "clique_component_masks",
+    monkeypatch.setattr(preprocess_module, "clique_components",
                         counted("cliques",
-                                preprocess_module.clique_component_masks))
+                                preprocess_module.clique_components))
     monkeypatch.setattr(preprocess_module, "connected_components",
                         counted("components",
                                 preprocess_module.connected_components))
@@ -266,7 +278,7 @@ def test_one_component_pass_whatever_fires(monkeypatch):
     core = [(n + i, n + i + 1) for i in range(5)]  # a path: not a clique
     g = Graph.from_edges(n + 6, edges + core)
     k = 1
-    c3 = sum(c.bit_count() > 1 for c in clique_component_masks(g))
+    c3 = int((clique_components(g)[1] > 1).sum())
     assert c3 == 300
     for p in (8, 100, 302):
         calls.update(cliques=0, components=0, induced=0)

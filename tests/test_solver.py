@@ -16,7 +16,8 @@ from cluedit import (Clustering, CutIndex, Graph, Instance, Solution,
 from cluedit import solver
 from cluedit.bruteforce import oracle_best_cost
 from cluedit.cuts import _keys, _lowest, _mask, _words
-from cluedit.graph import bits, clustering_to_edit_set
+from cluedit.graph import (apply_edits, bits, clustering_to_edit_set,
+                           format_graph, parse_graph)
 from cluedit.solver import (SolveResult, SolveStats, _dp_numpy,
                             result_to_dict)
 
@@ -511,6 +512,87 @@ def test_verify_solution_matches_component_reference():
                     assert not oracles.verify_solution_components(probe, bad)
                     rejected += 1
     assert yes >= 40 and rejected >= 100
+
+
+def _keyed(g: Graph) -> Graph:
+    """The same graph in key form alone."""
+    return Graph.from_keys(g.n, g.keys)
+
+
+def test_verify_solution_in_both_forms_matches_component_reference():
+    # random clusterings with their exact edit set, or with one pair of it
+    # toggled, and costs and cluster counts right or off by one: the check
+    # over keys agrees with the component check whichever form the input
+    # and the edit set come in
+    rng = random.Random(59)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        g = Graph.from_edges(n, oracles.random_edges(rng, n, rng.random()))
+        cl = Clustering.from_blocks(n, oracles.random_blocks(
+            rng, n, rng.randint(1, n)))
+        edits = clustering_to_edit_set(g, cl)
+        if n > 1 and rng.random() < 0.5:
+            pair = rng.sample(range(n), 2)
+            edits = apply_edits(edits, Graph.from_edges(n, [pair]))
+        cost = edits.m + (rng.random() < 0.2)
+        mode = rng.choice(("exact", "at_most"))
+        inst = Instance(g, cl.c + rng.choice((-1, 0, 0, 1)),
+                        rng.choice((cost, cost + 1)), mode)
+        sol = Solution(cl, edits, cost)
+        want = oracles.verify_solution_components(inst, sol)
+        for graph in (g, _keyed(g)):
+            for edit_set in (edits, _keyed(edits)):
+                assert verify_solution(Instance(graph, inst.p, inst.k, mode),
+                                       Solution(cl, edit_set, cost)) == want
+        verdicts[want] += 1
+    assert min(verdicts.values()) >= 100
+
+
+def test_verify_solution_rejects_bad_edit_keys():
+    # G: edges 0-1, 2-3 and 3-4 on n = 5; clusters {0, 1, 2} and {3, 4}:
+    # add 0-2 and 1-2 and delete 2-3, keys 2, 7 and 13.  Each bad edit set
+    # but the first three keeps the right edit count, cost and edge count
+    n = 5
+    g = Graph.from_edges(n, [(0, 1), (2, 3), (3, 4)])
+    cl = Clustering.from_blocks(n, [[0, 1, 2], [3, 4]])
+
+    def verdict(keys, p=2):
+        edits = Graph.from_keys(n, np.array(keys, np.int64))
+        return verify_solution(Instance(g, p, 3, "exact"),
+                               Solution(cl, edits, len(keys)))
+
+    assert verdict([2, 7, 13])
+    assert not verdict([2, 7])           # a missing deletion
+    assert not verdict([2, 13])          # a missing addition
+    assert not verdict([2, 7, 13, 14])   # an extra addition, 2-4
+    assert not verdict([1, 7, 13])       # a deletion inside a cluster, 0-1
+    assert not verdict([2, 2, 13])       # a repeated pair
+    assert not verdict([2, 13, 7])       # keys out of order
+    assert not verdict([2, 11, 13])      # 1-2 written as 2-1
+    assert not verdict([2, 12, 13])      # a self-loop at 2
+    assert not verdict([-1, 2, 13])      # a pair outside 0..n-1
+    assert not verdict([2, 13, n * n])   # and past it
+    assert not verdict([2, 7, 13], p=3)  # a wrong cluster count
+    assert not verdict([2, 7, 13], p=1)
+
+
+def test_solve_of_a_parsed_clique_union_builds_no_input_rows():
+    # 300 triangles and a path on 3 vertices, in a text the bulk reader
+    # takes: the clique scan, the kernel, the certificate check and the
+    # report read the input's keys, so its n-bit rows are never built
+    t = 300
+    g = Graph.from_edges(3 * t + 3, [e for i in range(0, 3 * t + 3, 3)
+                                     for e in ((i, i + 1), (i + 1, i + 2),
+                                               (i, i + 2))][:-1])
+    text = format_graph(g)
+    assert len(text) >= 1024
+    parsed = parse_graph(text)
+    res = solve_exact_p(Instance(parsed, t + 2, 1, "exact"))
+    report = result_to_dict(res, parsed, base=1)
+    assert report["answer"] == "yes" and report["cost"] == 1
+    assert report["stats"]["rules_applied"]
+    assert "rows" not in vars(parsed)
 
 
 def test_result_to_dict_shapes():
