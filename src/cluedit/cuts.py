@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from math import comb
+from typing import Sequence
 
 import numpy as np
 
@@ -80,16 +81,18 @@ def _neighbours_in(row: int, size: int) -> np.ndarray:
     return (high[:, None] + _neighbours_in(row, len(_IDS))).ravel()
 
 
-def edges_inside_table(g: Graph) -> np.ndarray:
-    """e[S] = number of g-edges with both ends in mask S, for all S.
+def edges_inside_table(rows: Sequence[int]) -> np.ndarray:
+    """e[S] = number of edges with both ends in mask S, for all S, in the
+    graph on n = len(rows) vertices whose neighbour masks are *rows*.
 
     Size 2^n; callers guard n.  Built by doubling: for S below bit v,
-    e[S | v] = e[S] + |N(v) & S|.  The dtype is the narrowest unsigned one
-    that holds m, uint8 up to m = 255, which covers every graph of at most
-    23 vertices.
+    e[S | v] = e[S] + |N(v) & S|, so e of the whole set is the edge count
+    m.  The dtype is the narrowest unsigned one that holds m, uint8 up to
+    m = 255, which covers every graph of at most 23 vertices.
     """
-    table = np.zeros(1 << g.n, dtype=np.min_scalar_type(g.m))
-    for v, row in enumerate(g.rows):
+    m = sum(map(int.bit_count, rows)) // 2
+    table = np.zeros(1 << len(rows), dtype=np.min_scalar_type(m))
+    for v, row in enumerate(rows):
         half = 1 << v
         table[half:2 * half] = table[:half] + _neighbours_in(row, half)
     return table
@@ -226,12 +229,13 @@ def _list(g: Graph, lo: int, hi: int, k: int, cap: int | None,
         return (np.zeros((1, 1), np.uint64), np.zeros(1, np.int64),
                 np.zeros(1, np.int64))
     half = 1 << hi - lo - 1
-    rest = Graph(tuple(row >> lo & half - 1 for row in g.rows[lo:hi - 1]))
+    inside = edges_inside_table([row >> lo & half - 1
+                                 for row in g.rows[lo:hi - 1]])
+    rest_m = int(inside[-1])
     last = g.rows[hi - 1] >> lo & half - 1
-    inside = edges_inside_table(rest)
     # in the table's unsigned dtype: e(S) + e(V' - S) <= m', so no
     # difference wraps, and crossing(S) <= C(LEAF, 2) fits in uint8
-    crossing = (rest.m - inside) - inside[::-1] + _neighbours_in(last, half)
+    crossing = (rest_m - inside) - inside[::-1] + _neighbours_in(last, half)
     masks = np.flatnonzero(crossing <= k)  # ascending
     if cap is not None and 2 * masks.size > cap:
         return None
@@ -239,7 +243,7 @@ def _list(g: Graph, lo: int, hi: int, k: int, cap: int | None,
     stats.pruned += 2 * (half - masks.size)
     crossing = crossing[masks].astype(np.int64)
     inside = inside[masks].astype(np.int64)
-    m = rest.m + last.bit_count()
+    m = rest_m + last.bit_count()
     return (np.concatenate((masks, 2 * half - 1 - masks[::-1]))
             .astype(np.uint64).reshape(-1, 1),
             np.concatenate((crossing, crossing[::-1])),

@@ -1,44 +1,45 @@
 """Graphs, clusterings and edit sets for cluster editing.
 
-Vertices are 0..n-1.  A graph has two forms, and each is derived from the
-other once, on first use.  Its rows are one arbitrary-precision bitmask
-per vertex, n bits wide, so a row costs O(n/64) words whatever its
-degree: membership tests, symmetric difference and the cut and DP stages
-are bit operations on them, which suits the small kernels the solver
-works on and the dense reduction outputs.  Its keys are the ascending
-int64 array of u·n + v over its edges uv with u < v, O(n + m) words.
+Vertices are 0..n-1.  A graph is stored as one form: its vertex count and
+the ascending int64 array of keys u·n + v over its edges uv with u < v,
+O(n + m) words.  Every builder makes keys: the text readers, `from_edges`,
+`apply_edits` (a merge of two key arrays), `cluster_graph_of`,
+`induced_subgraph` and the reduction generators.  The clique scan of the
+reduction rules (`clique_components`), the kernel extraction and the
+solver's certificate check read the keys, so a large input on which the
+rules leave a small kernel is solved in O(n + m) time and memory.
 
-Each stage reads one form.  The bulk reader gives keys, and the clique
-scan of the reduction rules (`clique_components`), the kernel extraction
-(`induced_subgraph`) and the solver's certificate check read keys, so a
-large input on which the rules leave a small kernel is solved in O(n + m)
-time and memory, with rows built only for the kernel.  `from_edges` and
-`apply_edits` build rows, and the cut enumeration, the early NO check and
-the DP read them.
+The rows, one arbitrary-precision bitmask per vertex, n bits wide, are a
+view derived from the keys on first use by `_rows_of_keys`, the one place
+rows are built.  A row costs O(n/64) words whatever its degree:
+membership tests and the cut, early NO and DP stages are bit operations
+on them, which suits the small kernels the solver works on.
 
 An edit set F is itself a `Graph` on the same vertices, whose edges are the
 pairs to toggle: the edited graph is G xor F (`apply_edits`) and the cost
 is F.m.
 
-The text format has two readers.  The canonical text that `format_graph`
-writes is read in bulk with numpy once it is a kilobyte or longer, into
-keys; every other text, and every text that breaks a rule, goes to the
-line reader, which builds rows, and the keys beside them, and alone
-raises, so each error names its line.
+The text format has two readers, and both give keys in O(n + m) words.
+The canonical text that `format_graph` writes is read in bulk with numpy
+once it is a kilobyte or longer; every other text, and every text that
+breaks a rule, goes to the line reader, which alone raises, so each error
+names its line.
 """
 from __future__ import annotations
 
 import functools
 import re
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import combinations, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
 
-# each header vertex costs a row before any edge is read, so a larger header
-# is rejected as bad input rather than left to exhaust memory
+# the solve allocates arrays of n entries whatever the edge count (the clique
+# scan's labels and degrees), so a larger header is rejected as bad input
+# rather than left to exhaust memory; the limit also keeps each id in int32
+# and each key u·n + v in int64
 MAX_PARSE_VERTICES = 10**7
 
 
@@ -51,90 +52,50 @@ def bits(mask: int) -> Iterator[int]:
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1, held in one or both of
-    two forms.
+    """Simple undirected graph on vertices 0..n-1: its vertex count and the
+    ascending int64 array ``keys`` of u·n + v over its edges uv, u < v.
 
-    ``rows[v]`` is the open-neighbourhood bitmask of v.  ``keys`` is the
-    ascending int64 array of u·n + v over the edges uv with u < v.  A graph
-    is built from either, by ``Graph(rows)`` or ``Graph.from_keys(n,
-    keys)``, and the other form is derived from it once, on first use.
-    n, m, edges(), has_edge and == read whichever form exists, and two
-    graphs are equal when they have the same n and the same edges.
-    Instances are immutable; edit operations return new graphs.
+    ``Graph(n, keys)`` trusts the keys; `from_edges` checks its pairs.
+    ``rows[v]``, the open-neighbourhood bitmask of v, is derived from the
+    keys on first use.  Two graphs are equal when they have the same n and
+    the same keys.  Instances are immutable; edit operations return new
+    graphs.
     """
 
     n: int
+    keys: np.ndarray
 
-    def __init__(self, rows: tuple[int, ...],
-                 keys: np.ndarray | None = None) -> None:
-        # keys, when given, must be the rows' own, as the line reader
-        # finds them
-        vars(self).update(n=len(rows), rows=rows)
-        if keys is not None:
-            vars(self)["keys"] = keys
-
-    @staticmethod
-    def from_keys(n: int, keys: np.ndarray) -> "Graph":
-        """The graph on 0..n-1 whose edges have the ascending keys u·n + v,
-        u < v; the caller vouches for them."""
-        g = Graph.__new__(Graph)
-        vars(g).update(n=n, keys=keys)
-        return g
+    def __init__(self, n: int, keys: np.ndarray) -> None:
+        vars(self).update(n=n, keys=keys)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"Graph is immutable: cannot set {name!r}")
-
-    def _holds(self, form: str) -> bool:
-        return form in vars(self)
 
     @functools.cached_property
     def rows(self) -> tuple[int, ...]:
         return _rows_of_keys(self.n, self.keys)
 
-    @functools.cached_property
-    def keys(self) -> np.ndarray:
-        """The edge keys; ValueError when the rows are no simple graph on
-        0..n-1: a bit without its mirror, a self-loop or a bit past n."""
-        n, rows = self.n, self.rows
-
-        def mirrored():
-            for u, v in _row_edges(rows):
-                if v >= n or not rows[v] >> u & 1:
-                    raise ValueError(f"row {u} holds {v} without its mirror")
-                yield u * n + v
-
-        keys = np.fromiter(mirrored(), np.int64)
-        # each pair above the diagonal has its mirror below it, so any
-        # further bit lies on the diagonal or below it without a mirror
-        if 2 * len(keys) != sum(map(int.bit_count, rows)):
-            raise ValueError("rows hold a self-loop or an unmirrored bit")
-        return keys
-
     @property
     def m(self) -> int:
-        if self._holds("keys"):
-            return len(self.keys)
-        return sum(map(int.bit_count, self.rows)) // 2
+        return len(self.keys)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * n
+        keys: set[int] = set()
         for u, v in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad edge ({u}, {v}) for n={n}")
-            if rows[u] >> v & 1:
+            key = min(u, v) * n + max(u, v)
+            if key in keys:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return Graph(tuple(rows))
+            keys.add(key)
+        return Graph(n, np.array(sorted(keys), np.int64))
 
     @staticmethod
     def empty(n: int) -> "Graph":
-        return Graph((0,) * n)
+        return Graph(n, np.zeros(0, np.int64))
 
     def has_edge(self, u: int, v: int) -> bool:
-        if self._holds("rows"):
-            return bool(self.rows[u] >> v & 1)
         # a binary search for the key; u == v has none
         key = min(u, v) * self.n + max(u, v)
         at = int(self.keys.searchsorted(key))
@@ -145,16 +106,12 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, lexicographically."""
-        if self._holds("keys"):
-            u, v = np.divmod(self.keys, self.n)
-            return zip(u.tolist(), v.tolist())
-        return _row_edges(self.rows)
+        u, v = np.divmod(self.keys, self.n)
+        return zip(u.tolist(), v.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        if self._holds("rows") and other._holds("rows"):
-            return self.rows == other.rows
         return self.n == other.n and np.array_equal(self.keys, other.keys)
 
     def __hash__(self) -> int:
@@ -162,24 +119,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def _row_edges(rows: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """The edges of *rows*, each from its lower end, lexicographically.
-
-    Each row with a higher neighbour is read once, as a binary string
-    searched for its ones, so a row costs its width and not its width per
-    set bit.
-    """
-    for u, row in enumerate(rows):
-        above = row >> (u + 1)
-        if not above:
-            continue
-        text = f"{above:b}"[::-1]
-        i = text.find("1")
-        while i >= 0:
-            yield (u, u + 1 + i)
-            i = text.find("1", i + 1)
 
 
 @dataclass(frozen=True)
@@ -296,14 +235,19 @@ def apply_edits(g: Graph, edits: Graph) -> Graph:
     """
     if g.n != edits.n:
         raise ValueError(f"vertex count mismatch: {g.n} vs {edits.n}")
-    return Graph(tuple(map(int.__xor__, g.rows, edits.rows)))
+    return Graph(g.n, np.setxor1d(g.keys, edits.keys, assume_unique=True))
 
 
 def cluster_graph_of(n: int, cl: Clustering) -> Graph:
+    """The graph whose edges are the pairs inside each cluster of cl."""
     if len(cl.assignment) != n:
         raise ValueError("clustering size mismatch")
-    masks = cl.cluster_masks()
-    return Graph(tuple(masks[cl.assignment[v]] ^ (1 << v) for v in range(n)))
+    blocks: list[list[int]] = [[] for _ in range(cl.c)]
+    for v, a in enumerate(cl.assignment):
+        blocks[a].append(v)
+    return Graph(n, np.array(sorted(u * n + v for block in blocks
+                                    for u, v in combinations(block, 2)),
+                             np.int64))
 
 
 def clustering_to_edit_set(g: Graph, cl: Clustering) -> Graph:
@@ -312,9 +256,9 @@ def clustering_to_edit_set(g: Graph, cl: Clustering) -> Graph:
 
 
 def induced_subgraph(g: Graph, keep) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the ascending vertex ids *keep*, in key form,
-    with its new -> old id map.  Read off g's keys: the renumbering keeps
-    the order of ids, and so of keys."""
+    """Induced subgraph on the ascending vertex ids *keep*, with its new ->
+    old id map.  Read off g's keys: the renumbering keeps the order of
+    ids, and so of keys."""
     keep = np.asarray(keep, dtype=np.int64)
     size = len(keep)
     new_of = np.full(g.n, -1, np.int64)
@@ -322,7 +266,7 @@ def induced_subgraph(g: Graph, keep) -> tuple[Graph, tuple[int, ...]]:
     low, high = np.divmod(g.keys, g.n)
     low, high = new_of[low], new_of[high]
     inside = (low >= 0) & (high >= 0)
-    return (Graph.from_keys(size, low[inside] * size + high[inside]),
+    return (Graph(size, low[inside] * size + high[inside]),
             tuple(keep.tolist()))
 
 
@@ -371,8 +315,8 @@ _NONCANONICAL_LINE = re.compile(r"\n(?!e [0-9]{1,8} [0-9]{1,8}\n|\Z)")
 
 
 def _parse_canonical(text: str) -> Graph | None:
-    """The graph of a canonical text, in key form, or None to leave the
-    text to _parse_lines.
+    """The graph of a canonical text, or None to leave the text to
+    _parse_lines.
 
     Two regex scans, one numpy conversion of the 2m ids, and one sort of
     the m keys, on which a self-loop or a repeated edge, in either
@@ -402,7 +346,7 @@ def _parse_canonical(text: str) -> Graph | None:
     keys.sort()
     if (u == v).any() or (keys[1:] == keys[:-1]).any():
         return None
-    return Graph.from_keys(n, keys)
+    return Graph(n, keys)
 
 
 def _rows_of_keys(n: int, keys: np.ndarray) -> tuple[int, ...]:
@@ -418,7 +362,8 @@ def _rows_of_keys(n: int, keys: np.ndarray) -> tuple[int, ...]:
     """
     if len(keys) <= _LOOP_EDGES:
         rows = [0] * n
-        for u, v in zip(*(x.tolist() for x in np.divmod(keys, n))):
+        for key in keys.tolist():
+            u, v = divmod(key, n)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return tuple(rows)
@@ -477,10 +422,13 @@ _LOOP_EDGES = 512
 
 
 def _parse_lines(text: str) -> Graph:
-    """Read *text* line by line, raising ValueError at the first fault."""
+    """Read *text* line by line, raising ValueError at the first fault.
+
+    The keys seen so far are kept in a set, which catches a repeated edge,
+    in either direction, at its line: O(n + m) words, with no row built.
+    """
     n = m = None
-    rows: list[int] = []
-    keys: list[int] = []
+    keys: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -500,7 +448,6 @@ def _parse_lines(text: str) -> Graph:
             if n > MAX_PARSE_VERTICES:
                 raise ValueError(f"line {lineno}: {n} vertices exceed the "
                                  f"limit of {MAX_PARSE_VERTICES}")
-            rows = [0] * n
         elif fields[0] == "e" or fields[0].isdigit():
             ends = fields[1:] if fields[0] == "e" else fields
             if n is None:
@@ -513,20 +460,17 @@ def _parse_lines(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: malformed edge {line!r}") from None
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise ValueError(f"line {lineno}: vertex out of range in {line!r}")
-            if rows[u] >> v & 1:
+            key = u * n + v if u < v else v * n + u
+            if key in keys:
                 raise ValueError(f"line {lineno}: duplicate edge {line!r}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            keys.append(u * n + v if u < v else v * n + u)
+            keys.add(key)
         else:
             raise ValueError(f"line {lineno}: unknown record {line!r}")
     if n is None:
         raise ValueError("missing header")
-    keys.sort()
-    g = Graph(tuple(rows), np.array(keys, np.int64))
-    if g.m != m:
-        raise ValueError(f"header claims {m} edges, found {g.m}")
-    return g
+    if len(keys) != m:
+        raise ValueError(f"header claims {m} edges, found {len(keys)}")
+    return Graph(n, np.sort(np.fromiter(keys, np.int64, len(keys))))
 
 
 def write_graph(g: Graph, path) -> None:

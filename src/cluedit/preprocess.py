@@ -33,8 +33,8 @@ isolated vertices by id, each rule for as long as its 2k+1 threshold and
 p' > 6k allow.  One ``induced_subgraph``, also over the keys, builds the
 kernel, whose bitmask rows, as wide as the kernel, are built when
 `early_no` first reads them.  Apart from sorting the cliques by size this
-is O(n + m) time and memory, and the input's own n-bit rows are never
-read.
+is O(n + m) time and memory whichever text reader gave the graph, and the
+input's own n-bit rows are never read.
 
 `early_no` runs on the kernel, after the rules.  It proves NO without
 listing cuts, from more than 2k + p' closed-twin classes or from k + 1

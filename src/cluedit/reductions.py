@@ -32,6 +32,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
+import numpy as np
+
 from .cnf import CnfFormula, falsified_clause, first_true_position
 from .graph import Clustering, Graph, clustering_to_edit_set
 from .regularize import (Recipe, RegularizedFormula, apply_recipes,
@@ -210,28 +212,25 @@ def materialize_graph(art: CliqueArtifact) -> Graph:
     n = art.vertex_count
     if n > MATERIALIZE_VERTEX_LIMIT:
         raise ValueError(f"graph too large to materialize ({n} vertices)")
-    rows = [0] * n
-    clique_masks = {}
-    for r in range(1, art.p + 1):
-        for alpha in range(1, 7):
-            lo = art.clique_range(r, alpha).start
-            clique_masks[(r, alpha)] = ((1 << art.L) - 1) << lo
-    attach_bits = dict.fromkeys(clique_masks, 0)
-
+    # the keys in ascending order with no sort: each clique's block, in id
+    # order, holds for each of its vertices the clique's later vertices and
+    # then the vertices joined to all of the clique, which _gadget walks in
+    # id order and which lie above every clique id; the gadget's own edges
+    # come last
+    joined = {(r, alpha): [] for r in range(1, art.p + 1) for alpha in range(1, 7)}
+    gadget = []
     for v, _, attached, nbrs in _gadget(art):
-        for u in nbrs:
-            rows[v] |= 1 << u
-            rows[u] |= 1 << v
+        gadget += [min(u, v) * n + max(u, v) for u in nbrs]
         for key in attached:
-            rows[v] |= clique_masks[key]
-            attach_bits[key] |= 1 << v
-
-    for key, mask in clique_masks.items():
-        full = mask | attach_bits[key]
-        for v in art.clique_range(*key):
-            rows[v] = full ^ (1 << v)
-
-    g = Graph(tuple(rows))
+            joined[key].append(v)
+    keys = []
+    for key, ids in joined.items():
+        lo = art.clique_range(*key).start
+        ends = np.concatenate((np.arange(lo, lo + art.L), ids))
+        i, j = np.triu_indices(art.L, 1, len(ends))
+        keys.append((lo + i) * n + ends[j])
+    keys.append(np.sort(np.array(gadget, np.int64)))
+    g = Graph(n, np.concatenate(keys))
     if g.m != art.edge_count:
         raise AssertionError(f"materialized edge count {g.m} != predicted {art.edge_count}")
     return g

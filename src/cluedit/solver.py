@@ -326,9 +326,9 @@ def _finish(inst: Instance, outcome: PreprocessOutcome, reduced_cl: Clustering,
     # in the kernel: its edit set, taken to the input through vertex_map,
     # which ascends and so keeps the keys' order
     kernel_edits = clustering_to_edit_set(outcome.instance.g, reduced_cl)
-    vmap, n = outcome.vertex_map, inst.g.n
-    edits = Graph.from_keys(n, np.array(
-        [vmap[u] * n + vmap[v] for u, v in kernel_edits.edges()], np.int64))
+    vmap, n = np.array(outcome.vertex_map, np.int64), inst.g.n
+    low, high = np.divmod(kernel_edits.keys, kernel_edits.n)
+    edits = Graph(n, vmap[low] * n + vmap[high])
     sol = Solution(cl, edits, edits.m)
     if not verify_solution(inst, sol):
         raise AssertionError("internal error: solver produced a bad solution")
@@ -340,9 +340,8 @@ def verify_solution(inst: Instance, sol: Solution) -> bool:
 
     Over the keys of the input G and of the edit set F, with the
     assignment alone, in O(n + m + |F| log m).  F must be a simple graph on
-    G's vertices: ascending keys of pairs u < v in 0..n-1, and, if it came
-    as rows, rows with no bit besides the two of each such pair.  Each pair
-    of F that is an edge of G must join two clusters, a deletion, and each
+    G's vertices: ascending keys of pairs u < v in 0..n-1.  Each pair of F
+    that is an edge of G must join two clusters, a deletion, and each
     other pair lie inside one, an addition.  Then the edited graph
     H = G xor F has, inside the clusters, G's edges there and the
     additions, at most as many as the clusters have pairs, and outside
@@ -358,10 +357,7 @@ def verify_solution(inst: Instance, sol: Solution) -> bool:
         return False
     if cl.c != inst.p and (inst.mode == "exact" or cl.c > inst.p):
         return False
-    try:
-        edits = sol.edits.keys
-    except ValueError:
-        return False
+    edits = sol.edits.keys
     if len(edits) and not 0 <= edits[0] <= edits[-1] < n * n:
         return False
     keys = g.keys

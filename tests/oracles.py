@@ -312,8 +312,12 @@ def verify_solution_components(inst: Instance, sol: Solution) -> bool:
     and its components are exactly the clusters."""
     if len(sol.clustering.assignment) != inst.g.n or sol.edits.n != inst.g.n:
         return False
-    # the cost is the number of pairs edges() lists, not the popcount m
-    if sol.cost != len(list(sol.edits.edges())) or sol.cost > inst.k:
+    pairs = list(sol.edits.edges())
+    if sol.cost != len(pairs) or sol.cost > inst.k:
+        return False
+    # the edit set is a simple graph: distinct pairs u < v of 0..n-1, in order
+    if (any(not 0 <= u < v < inst.g.n for u, v in pairs)
+            or pairs != sorted(set(pairs))):
         return False
     edited = apply_edits(inst.g, sol.edits)
     if not is_cluster_graph_bfs(edited):

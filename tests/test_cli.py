@@ -475,8 +475,8 @@ def test_malformed_graph_is_error(tmp_path):
 
 
 def test_absurd_vertex_count_is_input_error(tmp_path):
-    # the header alone would need hundreds of gigabytes of rows: bad input,
-    # not an internal error
+    # the header alone would need arrays of terabytes for its vertices: bad
+    # input, not an internal error
     path = tmp_path / "huge.g"
     path.write_text("p cep 99999999999 0\n")
     res = run_cli("solve", str(path), "--p", "2", "--k", "1")

@@ -256,7 +256,7 @@ def test_join_memory_stays_near_its_result():
 
 def test_edges_inside_table():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    table = edges_inside_table(g)
+    table = edges_inside_table(g.rows)
     for mask in range(1 << 4):
         inside = sum(1 for u, v in g.edges()
                      if mask >> u & 1 and mask >> v & 1)
@@ -286,7 +286,7 @@ def test_edges_inside_table_dtype_boundary(n, dtype):
     # K23 has m = 253, the last that fits uint8; K24 has m = 276, and a
     # uint8 table would wrap at its full mask (numpy gives no warning)
     g = complete(n)
-    table = edges_inside_table(g)
+    table = edges_inside_table(g.rows)
     assert table.dtype == dtype
     size = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int16)
     assert np.array_equal(table, size * (size - 1) // 2)

@@ -8,7 +8,6 @@ import sys
 import tracemalloc
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -269,10 +268,10 @@ def _graph_or_message(parse, text):
 @given(damaged_canonical_texts(), st.sampled_from([1, 3, 1 << 18]))
 def test_bulk_and_line_readers_agree(case, block_bytes):
     # the bulk reader takes every text format_graph writes, and any graph it
-    # gives is the line reader's, in its keys and in the rows the block
-    # builder makes from them, whether those fit one block or take one block
-    # each; parse_graph, whichever reader it picks by length, gives the line
-    # reader's graph or error message
+    # gives has the line reader's keys; the rows the block builder makes
+    # from them, whether those fit one block or take one block each, are
+    # those set one edge at a time; parse_graph, whichever reader it picks
+    # by length, gives the line reader's graph or error message
     g, text, damage = case
     bulk = graph_module._parse_canonical(text)
     lines = _graph_or_message(graph_module._parse_lines, text)
@@ -282,8 +281,17 @@ def test_bulk_and_line_readers_agree(case, block_bytes):
         assert bulk == lines
         with mock.patch.multiple(graph_module, _ROW_BLOCK_BYTES=block_bytes,
                                  _LOOP_EDGES=0):
-            assert bulk.rows == lines.rows
+            assert bulk.rows == _rows_by_edge(bulk)
     assert _graph_or_message(parse_graph, text) == lines
+
+
+def _rows_by_edge(g: Graph) -> tuple[int, ...]:
+    """The neighbour masks of g, set one edge at a time."""
+    rows = [0] * g.n
+    for u, v in g.edges():
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
 
 
 def _kilobyte_text(extra: str = "") -> tuple[Graph, str]:
@@ -316,14 +324,13 @@ def test_bulk_reader_declines_kilobyte_texts_that_break_a_rule(line, message):
 
 
 def test_bulk_reader_keys_and_rows_match_the_line_reader():
-    # a kilobyte text read in bulk comes in key form; its keys and the rows
-    # built from them on first use are the line reader's
+    # a kilobyte text read by either reader gives the same keys and no
+    # rows; the rows built from the keys on first use are the graph's
     g, text = _kilobyte_text()
     bulk, lines = graph_module._parse_canonical(text), graph_module._parse_lines(text)
-    assert "rows" not in vars(bulk)
+    assert "rows" not in vars(bulk) and "rows" not in vars(lines)
     assert bulk == lines == g and bulk.m == g.m
-    assert np.array_equal(bulk.keys, lines.keys)
-    assert bulk.rows == lines.rows == g.rows
+    assert bulk.rows == lines.rows == _rows_by_edge(g)
     assert parse_graph(text) == g
 
 
@@ -334,14 +341,14 @@ def test_bulk_reader_memory_stays_near_its_rows():
     n = 4000
     g = Graph.from_edges(n, [(e, v) for v in range(1, n - 1)
                              for e in (0, n - 1)])
-    text = format_graph(g)
+    text, rows = format_graph(g), g.rows
     tracemalloc.start()
     try:
-        assert graph_module._parse_canonical(text).rows == g.rows
+        assert graph_module._parse_canonical(text).rows == rows
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < sum(map(sys.getsizeof, g.rows)) + (2 << 20)
+    assert peak < sum(map(sys.getsizeof, rows)) + (2 << 20)
 
 
 @st.composite
@@ -435,12 +442,10 @@ def scanned_components(g: Graph) -> list[int]:
 
 
 @settings(max_examples=300, deadline=None)
-@given(near_cluster_graphs(), st.booleans())
-def test_clique_components_match_bfs_reference(g, keyed):
+@given(near_cluster_graphs())
+def test_clique_components_match_bfs_reference(g):
     # the label scan finds the same components in the same order, by
-    # smallest vertex, whether the graph was built from rows or from keys
-    if keyed:
-        g = Graph.from_keys(g.n, g.keys)
+    # smallest vertex
     assert scanned_components(g) == oracles.clique_components_bfs(g)
     assert is_cluster_graph(g) == oracles.is_cluster_graph_bfs(g)
 

@@ -242,19 +242,6 @@ def test_one_pass_matches_stepwise_rules():
     assert min(fired.values()) > 1000 and rejected > 100 and clamped > 100
 
 
-def test_rows_and_keys_preprocess_alike():
-    # the same graph built from rows and from keys gives the same outcome:
-    # reason, kernel, vertex map and removed components
-    rng = random.Random(31)
-    for _ in range(40):
-        g = random_clique_union(rng)
-        keyed = Graph.from_keys(g.n, g.keys)
-        for k, p, mode in itertools.product(
-                range(3), range(0, g.n + 4, 3), ("exact", "at_most")):
-            got = preprocess(Instance(keyed, p, k, mode))
-            assert got == preprocess(Instance(g, p, k, mode)), (g, p, k, mode)
-
-
 def test_one_component_pass_whatever_fires(monkeypatch):
     # one clique-component pass when the rules may fire (p > 6k), none
     # otherwise, no breadth-first search and at most one induced subgraph
@@ -350,11 +337,11 @@ def test_early_no_is_sound_on_criterion_1_graphs():
 
 def hub_graph(size):
     """Two cliques of *size* vertices and a hub next to all of them."""
-    a = (1 << size) - 1
-    b, hub = a << size, 1 << 2 * size
-    return Graph(tuple([a ^ 1 << v | hub for v in range(size)]
-                       + [b ^ 1 << v | hub for v in range(size, 2 * size)]
-                       + [a | b]))
+    hub = 2 * size
+    return Graph.from_edges(hub + 1, [
+        *itertools.combinations(range(size), 2),
+        *itertools.combinations(range(size, hub), 2),
+        *((v, hub) for v in range(hub))])
 
 
 def test_early_no_skips_centres_past_the_triple_budget():

@@ -437,14 +437,15 @@ def test_verify_solution_rejects_bad_certificates():
     # clustering or edit graph on another vertex count
     assert not verify_solution(inst, Solution(
         Clustering.from_blocks(4, [[0, 1], [2, 3]]), good.edits, good.cost))
-    wide = Graph(good.edits.rows + (0,))
+    wide = _widened(good.edits)
     assert not verify_solution(inst, Solution(good.clustering, wide, good.cost))
-    # cost one below the edit count; an edit graph with a bit in one row
-    # only, or with a self-loop bit (both keep m == cost)
+    # cost one below the edit count; an edit graph whose key is its pair
+    # written reversed, or a self-loop (both keep m == cost)
     assert not verify_solution(inst, Solution(good.clustering, good.edits,
                                               good.edits.m - 1))
-    for u, v in ((2, 0), (1, 1)):
-        bad = _with_bit(good.edits, u, v)
+    (u, v), = good.edits.edges()
+    for key in (v * 3 + u, u * 3 + u):
+        bad = _with_key(good.edits, key)
         assert bad.m == good.cost
         assert not verify_solution(inst, Solution(good.clustering, bad,
                                                   good.cost))
@@ -454,11 +455,14 @@ def test_verify_solution_rejects_bad_certificates():
     assert not verify_solution(Instance(g, 2, 0, "exact"), good)
 
 
-def _with_bit(g: Graph, u: int, v: int) -> Graph:
-    """g with bit v set in row u only."""
-    rows = list(g.rows)
-    rows[u] |= 1 << v
-    return Graph(tuple(rows))
+def _with_key(g: Graph, key: int) -> Graph:
+    """g with its first key replaced by *key*, in order: m stays."""
+    return Graph(g.n, np.sort(np.append(g.keys[1:], key)))
+
+
+def _widened(g: Graph) -> Graph:
+    """g's edges on one more vertex."""
+    return Graph.from_edges(g.n + 1, g.edges())
 
 
 def _corruptions(sol: Solution, n: int):
@@ -473,16 +477,14 @@ def _corruptions(sol: Solution, n: int):
     if extra is not None:
         added = Graph.from_edges(n, pairs + [extra])
         yield Solution(sol.clustering, added, added.m)
-    wide = Graph(sol.edits.rows + (0,))
-    yield Solution(sol.clustering, wide, sol.cost)
+    yield Solution(sol.clustering, _widened(sol.edits), sol.cost)
     if sol.cost:
         yield Solution(sol.clustering, sol.edits, sol.edits.m - 1)
-    # rows that are no simple graph but keep m, and so the cost: a bit
-    # without its mirror, or a self-loop bit
-    if extra is not None:
-        yield Solution(sol.clustering, _with_bit(sol.edits, *extra[::-1]),
-                       sol.cost)
-    yield Solution(sol.clustering, _with_bit(sol.edits, 0, 0), sol.cost)
+        # keys that are no pair u < v but keep m, and so the cost: the
+        # first edit written reversed, or a self-loop in its place
+        u, v = pairs[0]
+        for key in (v * n + u, u * n + u):
+            yield Solution(sol.clustering, _with_key(sol.edits, key), sol.cost)
     if len(blocks) >= 2:
         merged = Clustering.from_blocks(n, [blocks[0] + blocks[1]] + blocks[2:])
         yield Solution(merged, sol.edits, sol.cost)
@@ -514,16 +516,10 @@ def test_verify_solution_matches_component_reference():
     assert yes >= 40 and rejected >= 100
 
 
-def _keyed(g: Graph) -> Graph:
-    """The same graph in key form alone."""
-    return Graph.from_keys(g.n, g.keys)
-
-
-def test_verify_solution_in_both_forms_matches_component_reference():
+def test_verify_solution_on_random_edit_sets_matches_component_reference():
     # random clusterings with their exact edit set, or with one pair of it
     # toggled, and costs and cluster counts right or off by one: the check
-    # over keys agrees with the component check whichever form the input
-    # and the edit set come in
+    # over keys agrees with the component check
     rng = random.Random(59)
     verdicts = {True: 0, False: 0}
     for _ in range(400):
@@ -541,10 +537,7 @@ def test_verify_solution_in_both_forms_matches_component_reference():
                         rng.choice((cost, cost + 1)), mode)
         sol = Solution(cl, edits, cost)
         want = oracles.verify_solution_components(inst, sol)
-        for graph in (g, _keyed(g)):
-            for edit_set in (edits, _keyed(edits)):
-                assert verify_solution(Instance(graph, inst.p, inst.k, mode),
-                                       Solution(cl, edit_set, cost)) == want
+        assert verify_solution(inst, sol) == want
         verdicts[want] += 1
     assert min(verdicts.values()) >= 100
 
@@ -558,7 +551,7 @@ def test_verify_solution_rejects_bad_edit_keys():
     cl = Clustering.from_blocks(n, [[0, 1, 2], [3, 4]])
 
     def verdict(keys, p=2):
-        edits = Graph.from_keys(n, np.array(keys, np.int64))
+        edits = Graph(n, np.array(keys, np.int64))
         return verify_solution(Instance(g, p, 3, "exact"),
                                Solution(cl, edits, len(keys)))
 
@@ -579,20 +572,22 @@ def test_verify_solution_rejects_bad_edit_keys():
 
 def test_solve_of_a_parsed_clique_union_builds_no_input_rows():
     # 300 triangles and a path on 3 vertices, in a text the bulk reader
-    # takes: the clique scan, the kernel, the certificate check and the
-    # report read the input's keys, so its n-bit rows are never built
+    # takes and, after a comment line, in one the line reader takes: the
+    # clique scan, the kernel, the certificate check and the report read
+    # the input's keys, so its n-bit rows are never built
     t = 300
     g = Graph.from_edges(3 * t + 3, [e for i in range(0, 3 * t + 3, 3)
                                      for e in ((i, i + 1), (i + 1, i + 2),
                                                (i, i + 2))][:-1])
     text = format_graph(g)
     assert len(text) >= 1024
-    parsed = parse_graph(text)
-    res = solve_exact_p(Instance(parsed, t + 2, 1, "exact"))
-    report = result_to_dict(res, parsed, base=1)
-    assert report["answer"] == "yes" and report["cost"] == 1
-    assert report["stats"]["rules_applied"]
-    assert "rows" not in vars(parsed)
+    for form in (text, "c line-read\n" + text):
+        parsed = parse_graph(form)
+        res = solve_exact_p(Instance(parsed, t + 2, 1, "exact"))
+        report = result_to_dict(res, parsed, base=1)
+        assert report["answer"] == "yes" and report["cost"] == 1
+        assert report["stats"]["rules_applied"]
+        assert "rows" not in vars(parsed)
 
 
 def test_result_to_dict_shapes():
