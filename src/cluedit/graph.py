@@ -11,19 +11,19 @@ rules leave a small kernel is solved in O(n + m) time and memory.
 
 The rows, one arbitrary-precision bitmask per vertex, n bits wide, are a
 view derived from the keys on first use by `_rows_of_keys`, the one place
-rows are built.  A row costs O(n/64) words whatever its degree:
-membership tests and the cut, early NO and DP stages are bit operations
-on them, which suits the small kernels the solver works on.
+rows are built.  A row costs O(n/64) words whatever its degree: the cut
+enumeration and the early NO are bit operations on them, which suits the
+small kernels the solver works on.  The DP reads neither form: it reads
+the cut list's uint64 words, through the `cuts` helpers.
 
 An edit set F is itself a `Graph` on the same vertices, whose edges are the
 pairs to toggle: the edited graph is G xor F (`apply_edits`) and the cost
 is F.m.
 
 The text format has two readers, and both give keys in O(n + m) words.
-The canonical text that `format_graph` writes is read in bulk with numpy
-once it is a kilobyte or longer; every other text, and every text that
-breaks a rule, goes to the line reader, which alone raises, so each error
-names its line.
+The canonical text that `format_graph` writes, of any length, is read in
+bulk with numpy; every other text, and every text that breaks a rule, goes
+to the line reader, which alone raises, so each error names its line.
 """
 from __future__ import annotations
 
@@ -96,10 +96,12 @@ class Graph:
         return Graph(n, np.zeros(0, np.int64))
 
     def has_edge(self, u: int, v: int) -> bool:
-        # a binary search for the key; u == v has none
-        key = min(u, v) * self.n + max(u, v)
+        # a binary search for the key; u == v has none, and the range test
+        # keeps an id outside 0..n-1 from aliasing another pair's key
+        lo, hi = sorted((u, v))
+        key = lo * self.n + hi
         at = int(self.keys.searchsorted(key))
-        return u != v and at < len(self.keys) and int(self.keys[at]) == key
+        return 0 <= lo < hi < self.n and key in self.keys[at:at + 1]
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -289,19 +291,12 @@ def parse_graph(text: str) -> Graph:
     """The graph of a text in the format above.
 
     Two readers give the same graph.  Canonical text, as `format_graph`
-    writes it, of at least _BULK_MIN_CHARS characters is read in bulk; any
-    other text, and any canonical text that breaks a rule, is read line by
-    line.  Only the line reader raises, so every ValueError names the line
-    at fault and reads the same whichever form the text took.
+    writes it, of any length is read in bulk; any other text, and any
+    canonical text that breaks a rule, is read line by line.  Only the line
+    reader raises, so every ValueError names the line at fault and reads
+    the same whichever form the text took.
     """
-    g = _parse_canonical(text) if len(text) >= _BULK_MIN_CHARS else None
-    return _parse_lines(text) if g is None else g
-
-
-# below about a kilobyte the line reader is faster: the bulk reader pays a
-# fixed cost of a few dozen numpy calls, which with cold caches matches what
-# the line reader spends on some 900 characters
-_BULK_MIN_CHARS = 1 << 10
+    return _parse_canonical(text) or _parse_lines(text)
 
 # the header and "e u v" lines only, single spaces, ASCII digits ([0-9]: \d
 # would admit other scripts); 8 digits hold every id up to

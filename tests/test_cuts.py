@@ -105,10 +105,10 @@ def test_one_route_matches_brute_cuts(monkeypatch):
     assert {(1, True), (1, False), (cuts.LEAF, False)} <= aborts
 
 
-def test_flow_route_agrees_beyond_the_table_threshold():
-    # kernels past LEAF once branched on a max-flow test; now a 17-vertex
-    # graph is joined from the tables of its halves of 8 and 9 vertices,
-    # and must give the brute cuts in mask order with their counts
+def test_join_past_leaf_matches_brute_cuts():
+    # a 17-vertex graph, past LEAF, is joined from the tables of its halves
+    # of 8 and 9 vertices, and must give the brute cuts in mask order with
+    # their counts
     rng = random.Random(43)
     n = 17
     edges = oracles.random_edges(rng, n, 0.12)
@@ -129,7 +129,7 @@ def test_flow_route_agrees_beyond_the_table_threshold():
     assert enumerate_k_cuts(g, 2, max(halves) - 1) is None
 
 
-def test_filter_route_matches_flow_route(monkeypatch):
+def test_table_matches_joins_from_single_vertices(monkeypatch):
     # on kernels of 13 to LEAF vertices, too large for the brute cuts of
     # the test above but still one table, the table's filter of the 2^n
     # masks and the joins from single vertices at LEAF = 1 give the same

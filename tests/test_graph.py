@@ -39,6 +39,8 @@ def test_from_edges_basic():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     assert (g.n, g.m) == (5, 3)
     assert g.has_edge(1, 0) and not g.has_edge(0, 2)
+    # ids outside 0..n-1 have no edge, though keys 7 and 1 are 1-2 and 0-1
+    assert not g.has_edge(0, 7) and not g.has_edge(-1, 6)
     assert g.degree(1) == 2 and g.degree(3) == 1
     assert list(bits(g.rows[1])) == [0, 2]
     assert list(g.edges()) == [(0, 1), (1, 2), (3, 4)]
@@ -270,8 +272,8 @@ def test_bulk_and_line_readers_agree(case, block_bytes):
     # the bulk reader takes every text format_graph writes, and any graph it
     # gives has the line reader's keys; the rows the block builder makes
     # from them, whether those fit one block or take one block each, are
-    # those set one edge at a time; parse_graph, whichever reader it picks
-    # by length, gives the line reader's graph or error message
+    # those set one edge at a time; parse_graph gives the line reader's
+    # graph or error message
     g, text, damage = case
     bulk = graph_module._parse_canonical(text)
     lines = _graph_or_message(graph_module._parse_lines, text)
@@ -332,6 +334,15 @@ def test_bulk_reader_keys_and_rows_match_the_line_reader():
     assert bulk == lines == g and bulk.m == g.m
     assert bulk.rows == lines.rows == _rows_by_edge(g)
     assert parse_graph(text) == g
+    # parse_graph offers every canonical text to the bulk reader, however
+    # short: the line reader is never called on one
+    short = [Graph.empty(0), path3(), Graph.from_edges(
+        20, oracles.random_edges(random.Random(3), 20, 0.1))]
+    with mock.patch.object(graph_module, "_parse_lines",
+                           side_effect=AssertionError("line reader called")):
+        for h in short:
+            assert len(format_graph(h)) < 1024
+            assert parse_graph(format_graph(h)) == h
 
 
 def test_bulk_reader_memory_stays_near_its_rows():

@@ -8,11 +8,12 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
 from cluedit.cnf import CnfFormula, falsified_clause
-from cluedit.graph import apply_edits, bits, cluster_graph_of, format_graph
+from cluedit.graph import apply_edits, cluster_graph_of, format_graph
 from cluedit.reductions import (
     MATERIALIZE_VERTEX_LIMIT,
     attachment_counts,
@@ -310,24 +311,27 @@ def clique_edit_parts(art, g, target) -> Counter:
     """The edits turning g into target, split by the roles of their ends
     and named after the `CliqueWitness` counts.
 
-    Counted with popcounts on the row differences, the pairs that
-    `clustering_to_edit_set` would list: the edit sets here run to
-    millions of pairs, too many to hold as tuples.
+    Counted with numpy over the keys of `apply_edits(g, target)`, the
+    pairs that `clustering_to_edit_set` would list: the edit sets here run
+    to millions of pairs, too many to hold as tuples, and n-bit rows of
+    graphs this size take seconds to build.
     """
-    masks = Counter()
+    names = sorted({tag.split()[0] for _, _, tag in art.role_map})
+    role = np.empty(g.n, np.int64)
     for start, stop, tag in art.role_map:
-        masks[tag.split()[0]] |= ((1 << (stop - start)) - 1) << start
+        role[start:stop] = names.index(tag.split()[0])
     deletion = {("clause", "clique"): "cut_clique", ("clique", "cycle"): "cut_clique",
                 ("cycle", "cycle"): "cut_cycle", ("clause", "cycle"): "cut_attachment"}
-    parts = Counter()
-    for role, mask in masks.items():
-        for v in bits(mask):
-            diff = (g.rows[v] ^ target.rows[v]) >> (v + 1) << (v + 1)
-            parts["additions"] += (diff & ~g.rows[v]).bit_count()
-            for other, other_mask in masks.items():
-                count = (diff & g.rows[v] & other_mask).bit_count()
-                if count:
-                    parts[deletion.get(tuple(sorted((role, other))), "other")] += count
+    edits = apply_edits(g, target).keys
+    deleted = np.isin(edits, g.keys, assume_unique=True)
+    parts = Counter(additions=int(len(edits) - deleted.sum()))
+    # each deletion counted by the roles of its ends, the lower role first
+    low, high = (role[end] for end in np.divmod(edits[deleted], g.n))
+    pair = np.minimum(low, high) * len(names) + np.maximum(low, high)
+    for code, count in enumerate(np.bincount(pair).tolist()):
+        if count:
+            a, b = divmod(code, len(names))
+            parts[deletion.get((names[a], names[b]), "other")] += count
     return parts
 
 
