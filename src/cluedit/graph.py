@@ -98,10 +98,10 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         # a binary search for the key; u == v has none, and the range test
         # keeps an id outside 0..n-1 from aliasing another pair's key
-        lo, hi = sorted((u, v))
+        lo, hi = min(u, v), max(u, v)
         key = lo * self.n + hi
         at = int(self.keys.searchsorted(key))
-        return 0 <= lo < hi < self.n and key in self.keys[at:at + 1]
+        return 0 <= lo < hi < self.n and at < len(self.keys) and int(self.keys[at]) == key
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
