@@ -11,10 +11,14 @@ rules leave a small kernel is solved in O(n + m) time and memory.
 
 The rows, one arbitrary-precision bitmask per vertex, n bits wide, are a
 view derived from the keys on first use by `_rows_of_keys`, the one place
-rows are built.  A row costs O(n/64) words whatever its degree: the cut
-enumeration and the early NO are bit operations on them, which suits the
-small kernels the solver works on.  The DP reads neither form: it reads
-the cut list's uint64 words, through the `cuts` helpers.
+rows are built.  It packs them from an n × n bool matrix when its n²
+bytes are no more than the keys' own 8m, and otherwise sets them one edge
+at a time, holding the edge list as Python ints, about 40 bytes per edge.
+A row costs O(n/64) words whatever its degree: the cut enumeration and
+the early NO are bit operations on them, which suits the small kernels
+the solver works on, and the early NO reads no row of a kernel too sparse
+for its class count.  The DP reads neither form: it reads the cut list's
+uint64 words, through the `cuts` helpers.
 
 An edit set F is itself a `Graph` on the same vertices, whose edges are the
 pairs to toggle: the edited graph is G xor F (`apply_edits`) and the cost
@@ -347,73 +351,27 @@ def _parse_canonical(text: str) -> Graph | None:
 def _rows_of_keys(n: int, keys: np.ndarray) -> tuple[int, ...]:
     """The rows of the graph on 0..n-1 with edge keys *keys*.
 
-    Up to _LOOP_EDGES edges, as on a kernel or a small input, the rows are
-    built one edge at a time.  Beyond, each non-isolated row is built once,
-    by one ``int.from_bytes`` and a shift, from a byte buffer that holds
-    the row from its lowest neighbour's byte to its highest's.  The buffer
-    is built for a block of rows at a time, so besides the finished rows
-    this takes O(n + m) words and a buffer, with its one copy, of at most
-    _ROW_BLOCK_BYTES bytes or one row.
+    When the n × n bool matrix, n² bytes, is no larger than the keys' own
+    8m bytes, the rows come from that matrix: a key u·n + v is the flat
+    index of (u, v), so one assignment sets the upper triangle, one OR
+    with the transpose the lower, and one ``np.packbits`` per row gives
+    its bytes.  Otherwise they are built one edge at a time, which holds
+    the edge list as Python ints, about 40 bytes per edge.  So either
+    branch takes O(n + m) words besides the finished rows.
     """
-    if len(keys) <= _LOOP_EDGES:
-        rows = [0] * n
-        for key in keys.tolist():
-            u, v = divmod(key, n)
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return tuple(rows)
-    # ids in int32, which holds every n the readers admit, so that the sort
-    # and the blocks move half the bytes
-    u, v = (x.astype(np.int32) for x in np.divmod(keys, n))
-    # each edge once from either end, grouped by the row it sets a bit in
-    src, dst = np.concatenate((u, v)), np.concatenate((v, u))
-    del u, v
-    order = np.argsort(src)
-    src, dst = src[order], dst[order]
-    # each edge array is dropped once used, so the blocks below run beside
-    # 9 bytes per edge end, those of at and bit
-    del order
-    first = np.flatnonzero(np.diff(src, prepend=-1))  # each live row's start
-    live = src[first].tolist()
-    first = np.append(first, len(src))
-    # a row's bytes run from its lowest neighbour's to its highest's
-    low = np.minimum.reduceat(dst, first[:-1]) >> 3
-    bounds = np.zeros(len(live) + 1, np.int64)
-    np.cumsum((np.maximum.reduceat(dst, first[:-1]) >> 3) - low + 1,
-              out=bounds[1:])
-    del src
-    at = np.repeat(bounds[:-1] - low, np.diff(first))
-    at += dst >> 3
-    bit = (1 << (dst & 7)).astype(np.uint8)
-    del dst
+    if n * n <= 8 * len(keys):
+        adj = np.zeros(n * n, bool)
+        adj[keys] = True
+        adj = adj.reshape(n, n)
+        adj |= adj.T
+        return tuple(int.from_bytes(row, "little") for row
+                     in np.packbits(adj, axis=1, bitorder="little"))
     rows = [0] * n
-    from_bytes = int.from_bytes
-    a = 0
-    while a < len(live):
-        # rows a..b-1: at most _ROW_BLOCK_BYTES of buffer, or one row
-        b = max(a + 1, int(np.searchsorted(
-            bounds, bounds[a] + _ROW_BLOCK_BYTES, side="right")) - 1)
-        base = bounds[a]
-        buf = np.zeros(bounds[b] - base, np.uint8)
-        np.bitwise_or.at(buf, at[first[a]:first[b]] - base,
-                         bit[first[a]:first[b]])
-        raw = buf.tobytes()
-        for w, lo, hi, shift in zip(live[a:b], (bounds[a:b] - base).tolist(),
-                                    (bounds[a + 1:b + 1] - base).tolist(),
-                                    (low[a:b] << 3).tolist()):
-            rows[w] = from_bytes(raw[lo:hi], "little") << shift
-        a = b
+    for key in keys.tolist():
+        u, v = divmod(key, n)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     return tuple(rows)
-
-
-# byte buffer that _rows_of_keys fills per block of rows
-_ROW_BLOCK_BYTES = 1 << 18
-
-# the edge count up to which _rows_of_keys sets bits one edge at a time: the
-# block builder's few dozen numpy calls cost about 43 us on a 14-vertex
-# kernel that the loop builds in 5.5 us, and the two break even at some
-# 500-1000 edges on sparse graphs of 100-1000 vertices
-_LOOP_EDGES = 512
 
 
 def _parse_lines(text: str) -> Graph:

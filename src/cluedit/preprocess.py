@@ -32,15 +32,19 @@ cliques from largest to smallest, ties by smallest vertex, then the
 isolated vertices by id, each rule for as long as its 2k+1 threshold and
 p' > 6k allow.  One ``induced_subgraph``, also over the keys, builds the
 kernel, whose bitmask rows, as wide as the kernel, are built when
-`early_no` first reads them.  Apart from sorting the cliques by size this
-is O(n + m) time and memory whichever text reader gave the graph, and the
-input's own n-bit rows are never read.
+`early_no` first reads them, and only if its sparsity bound lets the
+kernel through.  Apart from sorting the cliques by size this is O(n + m)
+time and memory whichever text reader gave the graph, and the input's
+own n-bit rows are never read.
 
 `early_no` runs on the kernel, after the rules.  It proves NO without
 listing cuts, from more than 2k + p' closed-twin classes or from k + 1
 conflict triples (induced paths u-w-v) of which no two share a vertex
-pair; its docstring holds both proofs.  Packings of conflict triples are
-the standard lower bound of exact cluster-editing solvers (Boecker,
+pair; its docstring holds the proofs.  Each class is a clique, so a
+kernel with n'² > (2k + p')(2m' + n') has more than 2k + p' classes, and
+that NO is read off n' and m' before the kernel's rows are built: a path
+or a star answers in O(1) after the rules.  Packings of conflict triples
+are the standard lower bound of exact cluster-editing solvers (Boecker,
 Briesemeister and Klau, Algorithmica 2011).
 
 `lift_clustering` takes a clustering of the kernel back to the input: each
@@ -185,6 +189,15 @@ def early_no(g: Graph, p: int, k: int
     The k edits touch at most 2k vertices, so there are at most 2k + p
     classes, and more is a proven NO.
 
+    Sparsity.  Closed twins are adjacent, so each class is a clique (a
+    critical clique of Guo, TCS 410, 2009), and c classes of sizes s_i on
+    n vertices hold at least sum s_i(s_i - 1)/2 >= n(n - c)/2c edges, the
+    sum being least when the sizes are equal.  So m >= n(n - c)/2c, that
+    is c >= n²/(2m + n), and n² > (2k + p)(2m + n) proves more than
+    2k + p classes in O(1), before any row is built.  It fires only where
+    the count does, and every kernel whose rows are read has
+    n² <= (2k + p)(2m + n).
+
     Conflict triples.  A conflict triple u-w-v is an induced path: uw and
     wv are edges and uv is not.  No cluster graph holds one, so a solution
     edits one of its three pairs, and triples that share no vertex pair
@@ -198,7 +211,10 @@ def early_no(g: Graph, p: int, k: int
     ascending order of the summed number of listed triples that hold each
     of their three pairs, ties by (u, w, v), stopping at k + 1.
     """
-    rows, n, most = g.rows, g.n, 2 * k + p
+    n, most = g.n, 2 * k + p
+    if n * n > most * (2 * g.m + n):
+        return "class_count", []
+    rows = g.rows
     # the classes, which stop once their count proves NO, and the centres:
     # the first vertex of each class, skipping one whose neighbour pairs,
     # which bound the triples listed at it, no longer fit in _TRIPLES

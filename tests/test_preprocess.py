@@ -7,7 +7,10 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cluedit import (Clustering, Graph, Instance, is_cluster_graph,
@@ -406,3 +409,36 @@ def test_early_no_packs_in_its_documented_order():
             list(g.edges()), p, k)
         fired[proof and proof[0]] += 1
     assert fired["class_count"] > 1000 and fired["conflict_triples"] > 1000
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 11), st.randoms(use_true_random=False),
+       st.sampled_from([0.05, 0.2, 0.5, 0.9]), st.integers(0, 6),
+       st.integers(0, 4))
+# an 11-vertex path at p = 1, k = 0: 121 > 1 · (20 + 11)
+@example(11, random.Random(0), 0.0, 1, 0)
+def test_sparsity_bound_fires_only_where_the_class_count_does(
+        n, rnd, density, p, k):
+    # each closed-twin class is a clique, so n² > (2k + p)(2m + n) leaves
+    # more than 2k + p classes: the reference, which counts them from the
+    # rows, proves class_count wherever the bound holds, and early_no,
+    # which tests the bound before reading a row, gives its answer
+    g = Graph.from_edges(n, oracles.random_edges(rnd, n, density))
+    if n * n > (2 * k + p) * (2 * g.m + n):
+        assert oracles.early_no_reference(g, p, k) == ("class_count", [])
+    assert preprocess_module.early_no(g, p, k) == \
+        oracles.early_no_reference(g, p, k)
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_large_path_and_star_answer_no_without_rows(shape):
+    # no rule fires at p = 2, k = 1, so the kernel is the whole input, whose
+    # n-bit rows would take some 700 MB for the path and 1.3 GB for the star
+    # with its hub last; the sparsity bound proves class_count from n and m
+    n = 10**5
+    ends = (np.arange(1, n) if shape == "path"
+            else np.full(n - 1, n - 1))
+    g = Graph(n, np.arange(n - 1, dtype=np.int64) * n + ends)
+    res = solve_exact_p(Instance(g, 2, 1))
+    assert res.answer is False and res.stats.no_reason == "class_count"
+    assert "rows" not in vars(g)
